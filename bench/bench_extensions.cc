@@ -11,7 +11,7 @@
 
 #include "solap/engine/engine.h"
 #include "solap/gen/synthetic.h"
-#include "solap/index/bitmap_index.h"
+#include "solap/index/bitmap.h"
 
 namespace solap {
 namespace {

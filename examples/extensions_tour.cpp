@@ -1,5 +1,5 @@
 // Tour of the §6 extensions: iceberg S-cuboids, online aggregation,
-// incremental update, and bitmap-encoded inverted indices.
+// incremental update, and bitmap-encoded inverted lists.
 //
 //   ./build/examples/extensions_tour
 #include <cstdio>
@@ -7,8 +7,8 @@
 #include "solap/engine/advisor.h"
 #include "solap/engine/engine.h"
 #include "solap/gen/synthetic.h"
-#include "solap/index/bitmap_index.h"
 #include "solap/index/build_index.h"
+#include "solap/index/container.h"
 #include "solap/parser/parser.h"
 
 using namespace solap;
@@ -84,21 +84,25 @@ int main() {
                 engine.IndexCacheBytes() / 1048576.0);
   }
 
-  // 5. Bitmap-encoded inverted index: same lists, word-parallel AND.
+  // 5. Bitmap-encoded inverted lists: dense chunks of every posting list
+  //    are bitmap containers, intersected by word-parallel AND.
   IndexShape shape;
   shape.positions.assign(2, LevelRef{SyntheticData::kAttr, "symbol"});
   ScanStats stats;
   auto l2 = BuildIndex(&data.groups->groups()[0], *data.groups,
                        data.hierarchies.get(), shape, &stats);
   if (!l2.ok()) return 1;
-  BitmapIndex bitmaps = BitmapIndex::FromInverted(
-      **l2, data.groups->groups()[0].num_sequences());
-  std::printf("5. Bitmap index: %zu lists, %.2f MB as sorted lists vs "
-              "%.2f MB as bitmaps (domain %zu sequences)\n",
-              (*l2)->num_lists(), (*l2)->ByteSize() / 1048576.0,
-              bitmaps.ByteSize() / 1048576.0,
-              data.groups->groups()[0].num_sequences());
-  std::printf("   (bitmaps win on dense lists; see bench_extensions for "
-              "the intersection micro-benchmarks)\n");
+  size_t kinds[3] = {0, 0, 0};  // array, bitmap, run
+  for (const auto& [key, list] : (*l2)->lists()) {
+    for (const SidContainer& c : list.containers()) {
+      ++kinds[static_cast<size_t>(c.kind)];
+    }
+  }
+  std::printf("5. Bitmap containers: %zu L2 lists (%.2f MB) hold %zu array, "
+              "%zu bitmap and %zu run containers (domain %zu sequences)\n",
+              (*l2)->num_lists(), (*l2)->ByteSize() / 1048576.0, kinds[0],
+              kinds[1], kinds[2], data.groups->groups()[0].num_sequences());
+  std::printf("   (bitmap containers serve the dense chunks; see "
+              "bench_extensions for the intersection micro-benchmarks)\n");
   return 0;
 }

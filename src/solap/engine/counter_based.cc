@@ -2,11 +2,10 @@
 // sequence of every selected group, enumerate the template's occurrences,
 // and fold assignments into cuboid cells. Groups larger than a few
 // thousand sequences are partitioned across the engine's shared compute
-// pool (EngineOptions::cb_threads / exec_threads); each partition folds
+// pool (EngineOptions::exec_threads); each partition folds
 // into a private cuboid and the partials are merged in partition order —
 // COUNT/SUM/AVG/MIN/MAX all merge losslessly.
 #include <new>
-#include <thread>
 #include <unordered_set>
 
 #include "solap/engine/engine.h"
@@ -15,8 +14,6 @@ namespace solap {
 
 Status SOlapEngine::RunCounterBased(QueryContext& ctx) {
   ThreadPool* pool = ComputePool();
-  const size_t hw =
-      std::max<size_t>(std::thread::hardware_concurrency(), 1);
   for (size_t gi : ctx.selected_groups) {
     SequenceGroup& group = ctx.groups->groups()[gi];
     TraceSpan group_span(ctx.trace, "cb.group");
@@ -27,16 +24,13 @@ Status SOlapEngine::RunCounterBased(QueryContext& ctx) {
                            ctx.spec->predicate, ctx.spec->placeholders));
     const Sid n = static_cast<Sid>(group.num_sequences());
     group_span.Count("sequences", n);
-    // Partition count: explicit cb_threads is clamped to the hardware
-    // (spawning more scanners than cores only adds merge work), 0 means
-    // "use the whole pool", and small groups stay sequential — a
-    // partition under ~1024 sequences is not worth a dispatch.
-    size_t threads = options_.cb_threads == 0
-                         ? (pool != nullptr ? pool->num_threads() : 1)
-                         : std::min<size_t>(options_.cb_threads, hw);
-    threads = std::min<size_t>(threads, n / 1024 + 1);
+    // Partition count: one per pool worker, but small groups stay
+    // sequential — a partition under ~1024 sequences is not worth a
+    // dispatch.
+    const size_t threads = std::min<size_t>(
+        pool != nullptr ? pool->num_threads() : 1, n / 1024 + 1);
     group_span.Count("threads", threads);
-    if (threads <= 1 || pool == nullptr) {
+    if (threads <= 1) {
       SOLAP_RETURN_NOT_OK(
           CounterScanRange(ctx, group, bp, 0, n, ctx.cuboid, ctx.stats));
       continue;

@@ -472,12 +472,7 @@ ThreadPool* SOlapEngine::ComputePool() {
     compute_pool_created_ = true;
     const size_t hw =
         std::max<size_t>(std::thread::hardware_concurrency(), 1);
-    size_t n = options_.exec_threads;
-    if (n == 0) n = hw;
-    // CB partitioning shares this pool: an explicit cb_threads > 1 must
-    // still get workers even when exec_threads was left at its default
-    // (clamped to the hardware — see RunCounterBased).
-    n = std::max(n, std::min<size_t>(options_.cb_threads, hw));
+    const size_t n = options_.exec_threads == 0 ? hw : options_.exec_threads;
     if (n > 1) compute_pool_ = std::make_unique<ThreadPool>(n);
   }
   return compute_pool_.get();
@@ -485,11 +480,8 @@ ThreadPool* SOlapEngine::ComputePool() {
 
 JoinExecOptions SOlapEngine::JoinExec() {
   JoinExecOptions exec;
-  exec.bitmap_threshold = options_.bitmap_join_threshold;
   exec.adaptive_kernels = options_.adaptive_join_kernels;
   exec.pool = ComputePool();
-  exec.parallel_min_lists = options_.parallel_min_lists;
-  exec.parallel_min_work = options_.parallel_min_work;
   exec.governor = &governor_;
   return exec;
 }

@@ -61,31 +61,21 @@ struct EngineOptions {
   /// Disables inverted-index reuse across queries — every II query then
   /// rebuilds from scratch (used by benchmarks to isolate reuse benefits).
   bool enable_index_cache = true;
-  /// §6 bitmap extension: L2 lists longer than this are bitmap-encoded
-  /// during index joins so intersections become membership probes.
-  /// 0 = pure sorted-list merging.
-  size_t bitmap_join_threshold = 0;
-  /// Counter-based scans partition each group across this many threads
-  /// (per-thread cuboids merged at the end). 1 = sequential.
-  size_t cb_threads = 1;
-  /// Workers in the engine's shared compute pool, used by CB scan
-  /// partitions and parallel II joins/merges. 0 = hardware concurrency;
-  /// 1 = no pool, everything runs on the calling thread. The pool is
-  /// created lazily on first use and is distinct from any service-layer
-  /// pool, so a service worker blocking in a join can never starve it.
+  /// The one thread knob: workers in this engine's own compute pool. CB
+  /// scans partition each group over it (at most one partition per 1024
+  /// sequences) and II joins/merges partition their lists over it (past
+  /// the kParallelMinLists / kParallelMinWork cutoffs, index/index_ops.h).
+  /// 0 = hardware concurrency; 1 = no pool, everything runs on the calling
+  /// thread. The pool is created lazily on first use and is distinct from
+  /// any service-layer pool, so a service worker blocking in a join can
+  /// never starve it. A ShardedEngine's scatter width does not depend on
+  /// it: shards fan out over min(hardware threads, shards) workers.
   size_t exec_threads = 1;
-  /// Per-pair intersection kernel selection (galloping / bitmap probes,
-  /// index/intersect.h). false = scalar linear merges everywhere — the
+  /// Per-pair intersection kernel selection (galloping for skewed pairs,
+  /// bitmap kernels for bitmap containers — the §6 bitmap extension,
+  /// index/container.h). false = scalar linear merges everywhere — the
   /// A/B baseline for bench_ii_kernels.
   bool adaptive_join_kernels = true;
-  /// Joins/merges with fewer lists than this stay serial even when a pool
-  /// exists (fan-out overhead would dominate).
-  size_t parallel_min_lists = 64;
-  /// Joins/merges whose total posting-list work (sum of input list entries)
-  /// is below this also stay serial — many tiny lists clear the list cutoff
-  /// yet each shard finishes in microseconds, and the fork/join overhead
-  /// made parallel QA1 slower than the scalar II path.
-  size_t parallel_min_work = size_t{1} << 14;
   /// Number of shard-local executors a ShardedEngine partitions the data
   /// into (engine/sharded_engine.h). 1 = one monolithic engine, bit-identical
   /// to the legacy single-engine path. Plain SOlapEngine ignores this.

@@ -149,12 +149,20 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
           entry->shape().size() != m) {
         continue;
       }
+      // A filtered source can serve the target only if its filter is the
+      // target's: constraint signatures write each fixed code at its own
+      // index's level, so equal signatures mean equal filters only when no
+      // fixed code sits on a position whose level differs.
       bool finer = true, coarser = true, any_diff = false;
+      bool same_filter_level = true;
       for (size_t pos = 0; pos < m && (finer || coarser); ++pos) {
         const LevelRef& eref = entry->shape().positions[pos];
         const LevelRef& tref = target.positions[pos];
         if (eref == tref) continue;
         any_diff = true;
+        if (!bp.fixed_codes()[tmpl.dim_of(pos)].empty()) {
+          same_filter_level = false;
+        }
         int el = LevelIndexOf(hierarchies_, eref);
         int tl = target_levels[pos];
         if (eref.attr != tref.attr || el < 0 || tl < 0) {
@@ -169,8 +177,8 @@ Result<std::shared_ptr<InvertedIndex>> SOlapEngine::ObtainIndex(
         rollup_src = entry;
       }
       if (coarser && drill_src == nullptr &&
-          (entry->complete() ||
-           entry->constraint_sig() == full_sig)) {
+          (entry->complete() || (same_filter_level &&
+                                 entry->constraint_sig() == full_sig))) {
         drill_src = entry;
       }
     }

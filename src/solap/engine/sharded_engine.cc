@@ -78,7 +78,6 @@ void ShardedEngine::BuildShards() {
   // an even split of the memory budget; merged results cache in the facade
   // repository, so shard-level cuboid caching is off.
   shard_opts.exec_threads = 1;
-  shard_opts.cb_threads = 1;
   shard_opts.repository_capacity_bytes = 0;
   shard_opts.memory_budget_bytes = options_.memory_budget_bytes / n;
   repository_ =
@@ -130,10 +129,9 @@ ThreadPool* ShardedEngine::ScatterPool() {
   std::lock_guard<std::mutex> lock(scatter_pool_mu_);
   if (!scatter_pool_created_) {
     scatter_pool_created_ = true;
-    const size_t hw =
-        std::max<size_t>(std::thread::hardware_concurrency(), 1);
-    size_t t = options_.exec_threads == 0 ? hw : options_.exec_threads;
-    t = std::min(t, shards_.size());
+    const size_t t =
+        std::min<size_t>(std::max(std::thread::hardware_concurrency(), 1u),
+                         shards_.size());
     if (t > 1) scatter_pool_ = std::make_unique<ThreadPool>(t);
   }
   return scatter_pool_.get();
@@ -676,22 +674,6 @@ SOlapEngine::DeltaStats ShardedEngine::DeltaSnapshot() const {
     out.bytes += s.bytes;
   }
   return out;
-}
-
-void ShardedEngine::NotifyTableAppend() {
-  if (borrowed_ != nullptr) return borrowed_->NotifyTableAppend();
-  if (shards_.size() == 1) return shards_[0]->NotifyTableAppend();
-  // Repartition the (append-only) source table into fresh slices under the
-  // facade gate — scattered queries wait rather than racing the rebuild.
-  EpochGate::WriteLock wl(gate_);
-  {
-    std::lock_guard<std::mutex> lock(fallback_mu_);
-    if (fallback_) fallback_->NotifyTableAppend();
-  }
-  repository_->Clear();
-  shards_.clear();
-  shard_tables_.clear();
-  BuildShards();
 }
 
 ScanStats& ShardedEngine::stats() {

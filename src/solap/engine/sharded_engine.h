@@ -103,9 +103,6 @@ class ShardedEngine {
   /// (blocks stay contiguous; results never depend on sid placement).
   Status AppendRawSequences(size_t group_idx,
                             const std::vector<std::vector<Code>>& sequences);
-  /// Table mode: repartitions the (append-only) source table and rebuilds
-  /// the shard slices, then invalidates all caches.
-  void NotifyTableAppend();
 
   // -- Streaming ingestion (docs/INGESTION.md) -------------------------------
 
@@ -251,8 +248,8 @@ class ShardedEngine {
   DegradePolicy degrade_policy_ = DegradePolicy::kStrict;
   bool remote_local_fallback_ = true;
 
-  // Scatter fan-out pool (sharded mode; sized by EngineOptions::exec_threads,
-  // clamped to the shard count). nullptr = scatter runs inline.
+  // Scatter fan-out pool (sharded mode; min(hardware threads, shards)
+  // workers). nullptr = scatter runs inline.
   std::unique_ptr<ThreadPool> scatter_pool_;
   bool scatter_pool_created_ = false;
   std::mutex scatter_pool_mu_;

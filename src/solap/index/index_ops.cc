@@ -122,8 +122,7 @@ struct ScratchCharge {
 // (3) merge shard outputs in shard order — output keys embed their base
 // key, so shards never collide and the merged map's insertion order equals
 // the serial path's. Dense chunks are bitmap containers already, so no
-// per-join bitmap encoding pass is needed; `bitmap_threshold` instead
-// forces whole-list membership probing (§6 bitmap extension).
+// per-join bitmap encoding pass is needed (§6 bitmap extension).
 Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
     const InvertedIndex& base, const InvertedIndex& l2,
     const PatternTemplate& tmpl, size_t offset, const BoundPattern& bp,
@@ -184,23 +183,17 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   // Bucket the L2 lists by the code on the shared position. Dense chunks
   // of a SidList are bitmap containers already — the one-time encoding the
   // flat representation needed per join is now part of the index itself.
-  // An L2 list past the explicit `bitmap_threshold` is probed whole (§6).
   struct L2Entry {
     Code grown;
     const SidList* list;   // may be null (delta-only key)
     const SidList* delta;  // null when the key has no unmerged delta
-    bool probe_forced = false;
   };
   std::unordered_map<Code, std::vector<L2Entry>> by_shared;
   l2.ForEachLogicalList([&](const PatternKey& key2, const SidList* list2,
                             const SidList* dlist2) {
     Code shared = grow_right ? key2[0] : key2[1];
     Code grown = grow_right ? key2[1] : key2[0];
-    const size_t logical_size = (list2 != nullptr ? list2->size() : 0) +
-                                (dlist2 != nullptr ? dlist2->size() : 0);
-    const bool probe_forced = exec.bitmap_threshold != 0 &&
-                              logical_size > exec.bitmap_threshold;
-    by_shared[shared].push_back(L2Entry{grown, list2, dlist2, probe_forced});
+    by_shared[shared].push_back(L2Entry{grown, list2, dlist2});
   });
 
   auto out = std::make_shared<InvertedIndex>(out_shape, /*complete=*/false);
@@ -247,12 +240,6 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
         } else if (scalar_only) {
           IntersectSidListsScalar(*blist, *l2e.list, candidates);
           ++shard.stats.intersections_linear;
-        } else if (l2e.probe_forced) {
-          candidates.clear();
-          blist->ForEach([&](Sid s) {
-            if (l2e.list->Contains(s)) candidates.push_back(s);
-          });
-          ++shard.stats.intersections_bitmap;
         } else {
           ContainerOpCounts delta;
           IntersectSidLists(*blist, *l2e.list, candidates, &delta);
@@ -296,8 +283,8 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
   // that each shard outruns its fork/join overhead (small or merge-
   // dominated jobs used to go parallel and lose to the serial path).
   const size_t workers =
-      exec.pool != nullptr && n >= exec.parallel_min_lists &&
-              total_base_work >= exec.parallel_min_work
+      exec.pool != nullptr && n >= kParallelMinLists &&
+              total_base_work >= kParallelMinWork
           ? std::min(exec.pool->num_threads(), n)
           : 1;
   std::vector<JoinShardOut> shards(std::max<size_t>(workers, 1));
@@ -428,8 +415,8 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
   // Same two-part cutoff as the joins: enough lists AND enough total
   // posting-list work to amortize the fan-out.
   const size_t workers =
-      pool != nullptr && n >= std::max<size_t>(exec.parallel_min_lists, 64) &&
-              total_work >= exec.parallel_min_work
+      pool != nullptr && n >= kParallelMinLists &&
+              total_work >= kParallelMinWork
           ? std::min(pool->num_threads(), n)
           : 1;
   if (workers <= 1) {

@@ -18,34 +18,29 @@
 
 namespace solap {
 
+/// Joins and merges with fewer lists than this stay serial even when a
+/// pool exists: the fan-out overhead would dominate.
+inline constexpr size_t kParallelMinLists = 64;
+
+/// Joins and merges whose total posting-list work (sum of input list
+/// entries) is below this also stay serial: many tiny lists clear the list
+/// cutoff yet each shard finishes in microseconds, and the fork/join +
+/// shard-merge overhead made parallel QA1 slower than the scalar II path.
+/// Both cutoffs must pass for a job to go parallel.
+inline constexpr size_t kParallelMinWork = size_t{1} << 14;
+
 /// Execution knobs shared by the index-join operators (see
 /// DESIGN.md "II execution").
 struct JoinExecOptions {
-  /// §6 bitmap extension: an L2 list longer than this is bitmap-encoded
-  /// once per join and intersections against it become membership probes.
-  /// 0 = no explicit cutoff; with `adaptive_kernels` the density heuristic
-  /// still encodes lists covering at least 1/kBitmapDensityDiv of the
-  /// group's sid space.
-  size_t bitmap_threshold = 0;
-  /// Per-pair kernel selection (galloping for skewed pairs, bitmap probes
-  /// for dense L2 lists). false = the scalar linear-merge baseline
+  /// Per-pair kernel selection (galloping for skewed pairs, bitmap kernels
+  /// for bitmap containers). false = the scalar linear-merge baseline
   /// everywhere — benchmarks A/B against this.
   bool adaptive_kernels = true;
   /// Joins and merges partition their list work across this pool
-  /// (nullptr = serial). Partition merge order is deterministic, so
-  /// results are identical to the serial path.
+  /// (nullptr = serial) once both parallel cutoffs above pass. Partition
+  /// merge order is deterministic, so results are identical to the serial
+  /// path.
   ThreadPool* pool = nullptr;
-  /// List-count cutoff (EngineOptions::parallel_min_lists): joins with
-  /// fewer base lists than this stay serial. Since PR 7 it is paired with
-  /// `parallel_min_work` below — the count alone misjudged many-tiny-list
-  /// joins, so both cutoffs must pass for a job to go parallel.
-  size_t parallel_min_lists = 64;
-  /// Joins and merges whose total posting-list work (sum of input list
-  /// entries) is below this also stay serial: many tiny lists fan out past
-  /// `parallel_min_lists` yet each shard finishes in microseconds, and the
-  /// fork/join + shard-merge overhead made parallel QA1 slower than the
-  /// scalar II path. Both cutoffs must pass for a job to go parallel.
-  size_t parallel_min_work = size_t{1} << 14;
   /// Engine-wide memory budget. Joins transiently charge an estimate of
   /// their scratch (bitmap encodings + output lists) before fanning out and
   /// release it after the merge; a rejected charge fails the join with
@@ -86,9 +81,8 @@ bool ContainsWindow(const BoundPattern& bp, Sid s, const PatternKey& key,
 /// are filtered to instantiations consistent with the grown window.
 ///
 /// Intersections run on the lists' container representation directly
-/// (index/container.h): dense chunks are already bitmap-encoded, so each
-/// container pair dispatches its kernel by kind; an L2 list past
-/// `exec.bitmap_threshold` is force-probed (§6 bitmap extension). Base
+/// (index/container.h): dense chunks are already bitmap-encoded (§6 bitmap
+/// extension), so each container pair dispatches its kernel by kind. Base
 /// lists are partitioned across `exec.pool` (when both parallel cutoffs
 /// pass) with a deterministic merge — the parallel result is identical to
 /// the serial one.

@@ -84,8 +84,10 @@ struct QueryResponse {
 /// joins the workers — every future obtained from Submit is fulfilled.
 class QueryService {
  public:
-  /// `engine` must outlive the service and not receive mutating admin
-  /// calls (AppendRawSequences / NotifyTableAppend) while queries run.
+  /// `engine` must outlive the service. Its admin calls
+  /// (AppendRawSequences / NotifyTableAppend / IngestRows) take the
+  /// engine's EpochGate write lock and may run beside queries; only a
+  /// caller's direct mutation of the EventTable is not guarded.
   QueryService(SOlapEngine* engine, ServiceOptions options = {});
   /// Sharded front: scattered queries, per-shard counters and scatter/
   /// gather spans flow through the service unchanged.

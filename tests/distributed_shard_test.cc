@@ -147,7 +147,6 @@ struct LocalCluster {
     });
     EngineOptions opts;
     opts.exec_threads = 1;
-    opts.cb_threads = 1;
     opts.repository_capacity_bytes = 0;
     for (size_t i = 0; i < n; ++i) {
       engines.push_back(std::make_unique<SOlapEngine>(

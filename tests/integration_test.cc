@@ -197,5 +197,48 @@ TEST(ClickstreamSession, QaQbQcExploration) {
   }
 }
 
+// A cached filtered index may serve a P-DRILL-DOWN only if its filter is
+// the query's. Query A caches a page-category index sliced on Y; query B
+// slices Y at raw-page level on a page whose code happens to equal A's
+// category code, so the two constraint signatures print alike. B must not
+// refine A's lists (that answered 0 cells), and must agree with CB.
+TEST(ClickstreamSession, SlicedDrillDownIgnoresOtherLevelSlice) {
+  ClickstreamParams p;
+  p.num_sessions = 1500;
+  ClickstreamData data = GenerateClickstream(p);
+  SOlapEngine engine(data.table.get(), data.hierarchies.get());
+
+  auto base = ParseQuery(R"(
+    SELECT COUNT(*) FROM Event
+    CLUSTER BY session-id AT session-id
+    SEQUENCE BY request-time ASCENDING
+    CUBOID BY SUBSTRING (X, Y, Z)
+      WITH X AS page AT page-category, Y AS page AT page-category,
+           Z AS page AT page-category
+      LEFT-MAXIMALITY
+  )");
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  auto qa = ops::SlicePattern(*base, "Y", {"Account"});
+  ASSERT_TRUE(qa.ok());
+  auto drilled = ops::PDrillDownTo(*base, "Y", "raw-page");
+  ASSERT_TRUE(drilled.ok());
+  auto qb = ops::SlicePattern(*drilled, "Y", {"Assortment-page-3"});
+  ASSERT_TRUE(qb.ok());
+
+  auto ra = engine.Execute(*qa, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  auto rb = engine.Execute(*qb, ExecStrategy::kInvertedIndex);
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+
+  SOlapEngine cb_engine(data.table.get(), data.hierarchies.get());
+  auto rb_cb = cb_engine.Execute(*qb, ExecStrategy::kCounterBased);
+  ASSERT_TRUE(rb_cb.ok()) << rb_cb.status().ToString();
+  EXPECT_GT((*rb_cb)->num_cells(), 0u);
+  EXPECT_EQ((*rb)->num_cells(), (*rb_cb)->num_cells());
+  for (const auto& [key, cell] : (*rb_cb)->cells()) {
+    EXPECT_EQ((*rb)->CellAt(key).count, cell.count);
+  }
+}
+
 }  // namespace
 }  // namespace solap

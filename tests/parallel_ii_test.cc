@@ -50,9 +50,22 @@ EngineOptions ParallelOpts() {
   EngineOptions o;
   o.default_strategy = ExecStrategy::kInvertedIndex;
   o.exec_threads = 4;
-  o.parallel_min_lists = 1;  // force the sharded path even on tiny joins
-  o.parallel_min_work = 1;   // ... and past the work-size cutoff too
   return o;
+}
+
+// Joins and roll-up merges go parallel only when their input clears both
+// cutoffs (index/index_ops.h). Every test here feeds them the cached
+// size-2 symbol index, so checking its size shows the pooled path ran.
+void ExpectCrossesParallelCutoffs(const SOlapEngine& engine,
+                                  const SyntheticData& data) {
+  const GroupIndexCache* cache = engine.FindIndexCache(*data.groups, 0);
+  ASSERT_NE(cache, nullptr);
+  IndexShape l2;
+  l2.positions.assign(2, LevelRef{SyntheticData::kAttr, "symbol"});
+  std::shared_ptr<InvertedIndex> index = cache->Find(l2, "");
+  ASSERT_NE(index, nullptr);
+  EXPECT_GE(index->num_lists(), kParallelMinLists);
+  EXPECT_GE(index->total_entries(), kParallelMinWork);
 }
 
 TEST(ParallelII, JoinsIdenticalToSerial) {
@@ -70,6 +83,7 @@ TEST(ParallelII, JoinsIdenticalToSerial) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ExpectCuboidsIdentical(**a, **b, "parallel join");
+  ExpectCrossesParallelCutoffs(parallel, data);
   // Same work was done, just partitioned.
   EXPECT_EQ(serial.stats().list_intersections,
             parallel.stats().list_intersections);
@@ -79,7 +93,7 @@ TEST(ParallelII, JoinsIdenticalToSerial) {
 
 TEST(ParallelII, KernelPoliciesAgree) {
   SyntheticParams p;
-  p.num_sequences = 1500;
+  p.num_sequences = 2500;
   p.num_symbols = 12;  // dense lists: triggers the bitmap density heuristic
   p.mean_length = 12;
   p.theta = 1.2;       // skewed symbol frequencies: triggers galloping
@@ -90,26 +104,22 @@ TEST(ParallelII, KernelPoliciesAgree) {
   scalar.adaptive_join_kernels = false;
   EngineOptions adaptive;  // defaults: adaptive on, serial
   EngineOptions adaptive_parallel = ParallelOpts();
-  EngineOptions bitmap_forced;
-  bitmap_forced.bitmap_join_threshold = 8;
 
   SOlapEngine e0(data.groups, data.hierarchies.get(), scalar);
   SOlapEngine e1(data.groups, data.hierarchies.get(), adaptive);
   SOlapEngine e2(data.groups, data.hierarchies.get(), adaptive_parallel);
-  SOlapEngine e3(data.groups, data.hierarchies.get(), bitmap_forced);
   auto r0 = e0.Execute(spec, ExecStrategy::kInvertedIndex);
   auto r1 = e1.Execute(spec, ExecStrategy::kInvertedIndex);
   auto r2 = e2.Execute(spec, ExecStrategy::kInvertedIndex);
-  auto r3 = e3.Execute(spec, ExecStrategy::kInvertedIndex);
-  ASSERT_TRUE(r0.ok() && r1.ok() && r2.ok() && r3.ok());
+  ASSERT_TRUE(r0.ok() && r1.ok() && r2.ok());
   ExpectCuboidsIdentical(**r0, **r1, "scalar vs adaptive");
   ExpectCuboidsIdentical(**r0, **r2, "scalar vs adaptive parallel");
-  ExpectCuboidsIdentical(**r0, **r3, "scalar vs forced bitmap");
+  ExpectCrossesParallelCutoffs(e2, data);
 }
 
 TEST(ParallelII, RollUpMergeIdenticalToSerial) {
   SyntheticParams p;
-  p.num_sequences = 1200;
+  p.num_sequences = 2500;
   p.num_symbols = 30;
   p.mean_length = 9;
   SyntheticData data = GenerateSynthetic(p);
@@ -134,6 +144,7 @@ TEST(ParallelII, RollUpMergeIdenticalToSerial) {
   auto b = parallel.Execute(coarse, ExecStrategy::kInvertedIndex);
   ASSERT_TRUE(a.ok() && b.ok());
   ExpectCuboidsIdentical(**a, **b, "parallel roll-up");
+  ExpectCrossesParallelCutoffs(parallel, data);
 }
 
 TEST(ParallelII, PoolBackedCounterScanIdentical) {
@@ -151,8 +162,7 @@ TEST(ParallelII, PoolBackedCounterScanIdentical) {
                PatternDim{"Y", {"location", "station"}, {}, ""}};
 
   EngineOptions pooled;
-  pooled.exec_threads = 4;
-  pooled.cb_threads = 0;  // auto: use the whole compute pool
+  pooled.exec_threads = 4;  // CB partitions each group over the pool
   SOlapEngine serial(transit.table.get(), transit.hierarchies.get());
   SOlapEngine parallel(transit.table.get(), transit.hierarchies.get(),
                        pooled);

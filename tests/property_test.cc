@@ -411,7 +411,7 @@ TEST(ParallelScanProperty, ThreadedCounterBasedEqualsSequential) {
   spec.dims = {PatternDim{"X", {SyntheticData::kAttr, "symbol"}, {}, ""},
                PatternDim{"Y", {SyntheticData::kAttr, "symbol"}, {}, ""}};
   EngineOptions threaded;
-  threaded.cb_threads = 4;
+  threaded.exec_threads = 4;
   SOlapEngine seq_engine(data.groups, data.hierarchies.get());
   SOlapEngine par_engine(data.groups, data.hierarchies.get(), threaded);
   auto a = seq_engine.Execute(spec, ExecStrategy::kCounterBased);
@@ -448,14 +448,18 @@ TEST(ParallelScanProperty, ThreadedCounterBasedEqualsSequential) {
   }
 }
 
-// The §6 bitmap join path must be a pure performance knob: identical
-// cuboids with and without it, for restricted and unrestricted templates.
+// The §6 bitmap extension (bitmap containers intersected by the adaptive
+// kernels) must be a pure performance choice: identical cuboids to the
+// scalar sorted-list merge, for restricted and unrestricted templates. The
+// data is dense enough (few symbols, many sequences) that list chunks
+// cross the array->bitmap crossover, so the bitmap kernels really run.
 TEST(BitmapJoinProperty, BitmapAndListJoinsAgree) {
   SyntheticParams p;
-  p.num_sequences = 400;
-  p.num_symbols = 15;
+  p.num_sequences = 20000;
+  p.num_symbols = 8;
   p.mean_length = 10;
   SyntheticData data = GenerateSynthetic(p);
+  uint64_t bitmap_ops = 0;
   for (std::vector<std::string> symbols :
        {std::vector<std::string>{"X", "Y", "Z"},
         std::vector<std::string>{"X", "Y", "Y", "X"}}) {
@@ -468,15 +472,19 @@ TEST(BitmapJoinProperty, BitmapAndListJoinsAgree) {
           PatternDim{sym, {SyntheticData::kAttr, "symbol"}, {}, ""});
       seen.push_back(sym);
     }
-    EngineOptions with_bitmaps;
-    with_bitmaps.bitmap_join_threshold = 1;  // bitmap every intersection
-    SOlapEngine plain(data.groups, data.hierarchies.get());
-    SOlapEngine bitmapped(data.groups, data.hierarchies.get(), with_bitmaps);
+    EngineOptions scalar;
+    scalar.adaptive_join_kernels = false;
+    SOlapEngine plain(data.groups, data.hierarchies.get(), scalar);
+    SOlapEngine adaptive(data.groups, data.hierarchies.get());
     auto a = plain.Execute(spec, ExecStrategy::kInvertedIndex);
-    auto b = bitmapped.Execute(spec, ExecStrategy::kInvertedIndex);
+    auto b = adaptive.Execute(spec, ExecStrategy::kInvertedIndex);
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectCuboidsEqual(**a, **b, "bitmap join");
+    EXPECT_EQ(plain.stats().container_bitmap_ops, 0u);
+    bitmap_ops += adaptive.stats().container_bitmap_ops;
   }
+  // The bitmap kernels actually ran on some container pair.
+  EXPECT_GT(bitmap_ops, 0u);
 }
 
 // Subsequence matcher against a brute-force oracle on tiny alphabets.

@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
   // split of the memory budget.
   solap::EngineOptions opts;
   opts.exec_threads = 1;
-  opts.cb_threads = 1;
   opts.repository_capacity_bytes = 0;
   opts.memory_budget_bytes = flags.memory_budget_bytes / n;
   solap::SOlapEngine engine(slice.get(), hierarchies.get(), opts);
