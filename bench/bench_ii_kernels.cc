@@ -9,7 +9,9 @@
 // Part 2 — query A/B timings: a QuerySet-A iterative session and a
 // QuerySet-B roll-up, each run CB vs scalar-II vs adaptive-II on fresh
 // engines, reproducing the paper's §5.2/§5.3 comparisons with the new
-// kernels in play.
+// kernels in play. The QuerySet-A entries are medians of interleaved
+// repeats (min/max in the JSON), so the adaptive-vs-scalar gate compares
+// medians, not single runs.
 //
 // Part 4 — distributed loopback (when built with SOLAP_SHARD_MAIN_PATH):
 // the same sharded query answered by 2 in-process shard executors vs 2
@@ -69,6 +71,7 @@ namespace {
 
 struct Entry {
   std::string name;
+  /// The median when the entry was timed repeatedly (min_ms/max_ms > 0).
   double ms = 0;
   // Optional context: >0 means "this many times faster than the named
   // reference" (reference stored as its own entry).
@@ -76,6 +79,9 @@ struct Entry {
   // Optional throughput: >0 on ingest entries; gated by
   // "min_events_per_sec/<name>" thresholds rather than the 2x ms rule.
   double events_per_sec = 0;
+  // Optional spread of a repeated timing (published, never gated).
+  double min_ms = 0;
+  double max_ms = 0;
 };
 
 std::vector<Sid> RandomSorted(size_t n, size_t universe, std::mt19937& rng) {
@@ -178,8 +184,19 @@ EngineOptions WithKernels(bool adaptive) {
   return o;
 }
 
+// Repeats of the QuerySet-A session per strategy arm.
+constexpr size_t kQaRepeats = 5;
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 // QuerySet-A iterative session (paper §5.2) and a QuerySet-B roll-up
-// (§5.3), each CB vs scalar-II vs adaptive-II on fresh engines.
+// (§5.3), each CB vs scalar-II vs adaptive-II on fresh engines. The QA
+// session runs kQaRepeats times per arm, the arms interleaved (their order
+// rotating per repeat) so a slow stretch of the machine hits all three
+// alike; each query publishes its median, with min/max in the JSON.
 void RunQuerysets(bool quick, std::vector<Entry>* entries) {
   SyntheticParams p;
   p.num_sequences = quick ? 6000 : 50000;
@@ -194,30 +211,50 @@ void RunQuerysets(bool quick, std::vector<Entry>* entries) {
   qa1.symbols = {"X", "Y"};
   qa1.dims = {PatternDim{"X", sym, {}, ""}, PatternDim{"Y", sym, {}, ""}};
 
-  SOlapEngine cb_engine(data.groups, data.hierarchies.get());
-  SOlapEngine ii_scalar(data.groups, data.hierarchies.get(),
-                        WithKernels(false));
-  SOlapEngine ii_adaptive(data.groups, data.hierarchies.get(),
-                          WithKernels(true));
-  auto cb = RunQaSession(cb_engine, ExecStrategy::kCounterBased, qa1, L, sym);
-  auto iis = RunQaSession(ii_scalar, ExecStrategy::kInvertedIndex, qa1, L,
-                          sym);
-  auto iia = RunQaSession(ii_adaptive, ExecStrategy::kInvertedIndex, qa1, L,
-                          sym);
-  std::printf("\n-- queryset A (L=%zu, n=%u) --\n", L, p.num_sequences);
+  struct Arm {
+    const char* suffix;
+    ExecStrategy strategy;
+    bool adaptive;
+    std::vector<std::vector<double>> ms;  // [query][repeat]
+  };
+  Arm arms[] = {{"cb", ExecStrategy::kCounterBased, true, {}},
+                {"ii_scalar", ExecStrategy::kInvertedIndex, false, {}},
+                {"ii", ExecStrategy::kInvertedIndex, true, {}}};
+  constexpr size_t kArms = std::size(arms);
+  size_t num_queries = L;
+  for (size_t rep = 0; rep < kQaRepeats; ++rep) {
+    for (size_t k = 0; k < kArms; ++k) {
+      Arm& arm = arms[(rep + k) % kArms];
+      SOlapEngine engine(data.groups, data.hierarchies.get(),
+                         WithKernels(arm.adaptive));
+      auto session = RunQaSession(engine, arm.strategy, qa1, L, sym);
+      num_queries = std::min(num_queries, session.size());
+      arm.ms.resize(std::max(arm.ms.size(), session.size()));
+      for (size_t q = 0; q < session.size(); ++q) {
+        arm.ms[q].push_back(session[q].runtime_ms);
+      }
+    }
+  }
+  std::printf("\n-- queryset A (L=%zu, n=%zu, median of %zu) --\n", L,
+              p.num_sequences, kQaRepeats);
   std::printf("%-6s | %12s %14s %15s | %10s\n", "query", "CB(ms)",
               "II-scalar(ms)", "II-adaptive(ms)", "II-speedup");
-  for (size_t i = 0; i < cb.size() && i < iia.size(); ++i) {
-    const double speedup = iia[i].runtime_ms > 0
-                               ? cb[i].runtime_ms / iia[i].runtime_ms
-                               : 0;
-    std::printf("%-6s | %12.2f %14.2f %15.2f | %9.2fx\n",
-                cb[i].label.c_str(), cb[i].runtime_ms, iis[i].runtime_ms,
-                iia[i].runtime_ms, speedup);
-    const std::string base = "qa/" + cb[i].label;
-    entries->push_back({base + "/cb", cb[i].runtime_ms, 0});
-    entries->push_back({base + "/ii_scalar", iis[i].runtime_ms, 0});
-    entries->push_back({base + "/ii", iia[i].runtime_ms, speedup});
+  for (size_t q = 0; q < num_queries; ++q) {
+    double median[kArms];
+    for (size_t k = 0; k < kArms; ++k) median[k] = MedianOf(arms[k].ms[q]);
+    const double speedup = median[2] > 0 ? median[0] / median[2] : 0;
+    const std::string label = "QA" + std::to_string(q + 1);
+    std::printf("%-6s | %12.2f %14.2f %15.2f | %9.2fx\n", label.c_str(),
+                median[0], median[1], median[2], speedup);
+    for (size_t k = 0; k < kArms; ++k) {
+      const auto [lo, hi] =
+          std::minmax_element(arms[k].ms[q].begin(), arms[k].ms[q].end());
+      Entry e{"qa/" + label + "/" + arms[k].suffix, median[k],
+              k == 2 ? speedup : 0};
+      e.min_ms = *lo;
+      e.max_ms = *hi;
+      entries->push_back(e);
+    }
   }
 
   // QuerySet B: fine-level query warms the cache, the coarse follow-up is
@@ -267,7 +304,7 @@ void RunShardSweep(bool quick, std::vector<Entry>* entries) {
   const size_t shard_counts[] = {1, 2, 4, 8};
   double t1 = 0, best_ms = 0, best_speedup = 0;
   size_t best_shards = 1;
-  std::printf("\n-- shard-count sweep (CB session, L=%zu, n=%u) --\n", L,
+  std::printf("\n-- shard-count sweep (CB session, L=%zu, n=%zu) --\n", L,
               p.num_sequences);
   std::printf("%-8s | %12s %10s\n", "shards", "time(ms)", "vs 1-shard");
   for (size_t n : shard_counts) {
@@ -539,6 +576,10 @@ void WriteJson(const std::string& path, const std::vector<Entry>& entries,
     if (entries[i].events_per_sec > 0) {
       out << ", \"events_per_sec\": " << entries[i].events_per_sec;
     }
+    if (entries[i].max_ms > 0) {
+      out << ", \"min_ms\": " << entries[i].min_ms
+          << ", \"max_ms\": " << entries[i].max_ms;
+    }
     out << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -644,7 +685,8 @@ int Check(const std::string& path, const std::vector<Entry>& entries) {
       continue;
     }
     const Entry* scalar = find(e.name + "_scalar");
-    // 10% slack absorbs timing noise; a real cutover bug costs more.
+    // Both sides are medians of interleaved repeats; the 10% slack absorbs
+    // what noise remains, a real cutover bug costs more.
     if (scalar != nullptr && e.ms > 1.1 * scalar->ms) {
       std::fprintf(stderr,
                    "REGRESSION %s: adaptive II %.2f ms slower than scalar II "

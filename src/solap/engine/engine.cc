@@ -124,16 +124,8 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
     const CuboidSpec& spec, ExecStrategy strategy, const ExecControl& control,
     ScanStats* stats) {
   TraceContext* trace = control.trace;
-  if (strategy == ExecStrategy::kAuto && !spec.is_regex()) {
-    TraceSpan span(trace, "optimize");
-    StrategyOptimizer optimizer(this);
-    SOLAP_ASSIGN_OR_RETURN(StrategyChoice choice, optimizer.Choose(spec));
-    strategy = choice.strategy;
-    span.Note("strategy", StrategyName(strategy));
-    span.Note("reason", choice.reason);
-    span.Count("cb_cost", static_cast<uint64_t>(choice.cb_cost));
-    span.Count("ii_cost", static_cast<uint64_t>(choice.ii_cost));
-  }
+  // The repository key is strategy-independent, so a hit returns before
+  // the optimizer runs: revisits pay one lookup, not a costing pass.
   const std::string key = spec.CanonicalString();
   {
     TraceSpan span(trace, "repo.lookup");
@@ -145,9 +137,22 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
     span.Note("result", "miss");
   }
   SOLAP_RETURN_NOT_OK(CheckStop(control.stop, "query execution"));
+  ResolvedQuery resolved;
+  if (strategy == ExecStrategy::kAuto && !spec.is_regex()) {
+    TraceSpan span(trace, "optimize");
+    StrategyOptimizer optimizer(this);
+    SOLAP_ASSIGN_OR_RETURN(StrategyChoice choice, optimizer.Choose(spec));
+    strategy = choice.strategy;
+    span.Note("strategy", StrategyName(strategy));
+    span.Note("reason", choice.reason);
+    span.Count("cb_cost", static_cast<uint64_t>(choice.cb_cost));
+    span.Count("ii_cost", static_cast<uint64_t>(choice.ii_cost));
+    resolved = std::move(choice.resolved);
+  }
   auto cuboid = std::make_shared<SCuboid>(MakeDimDescriptors(spec), spec.agg);
   TraceSpan prep_span(trace, "prepare");
-  SOLAP_ASSIGN_OR_RETURN(QueryContext ctx, Prepare(spec, cuboid.get()));
+  SOLAP_ASSIGN_OR_RETURN(QueryContext ctx,
+                         Prepare(spec, cuboid.get(), std::move(resolved)));
   if (prep_span.active()) {
     prep_span.Count("groups", ctx.groups->groups().size());
     prep_span.Count("selected_groups", ctx.selected_groups.size());
@@ -185,12 +190,9 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
       TraceSpan span(trace, "exec.degrade_cb");
       span.Note("cause", ii.message());
       // The failed II run may have folded cells already — restart from a
-      // fresh cuboid and context.
+      // fresh cuboid; the rest of the context (template, groups) stands.
       cuboid = std::make_shared<SCuboid>(MakeDimDescriptors(spec), spec.agg);
-      SOLAP_ASSIGN_OR_RETURN(ctx, Prepare(spec, cuboid.get()));
-      ctx.stats = stats;
-      ctx.stop = control.stop;
-      ctx.trace = trace;
+      ctx.cuboid = cuboid.get();
       SOLAP_RETURN_NOT_OK(RunCounterBased(ctx));
     }
   }
@@ -206,7 +208,8 @@ Result<std::shared_ptr<const SCuboid>> SOlapEngine::ExecuteGuarded(
 }
 
 Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
-                                                       SCuboid* cuboid) {
+                                                       SCuboid* cuboid,
+                                                       ResolvedQuery resolved) {
   QueryContext ctx;
   ctx.spec = &spec;
   ctx.cuboid = cuboid;
@@ -218,12 +221,17 @@ Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
     }
     SOLAP_ASSIGN_OR_RETURN(ctx.rtmpl,
                            RegexTemplate::Parse(spec.regex, spec.dims));
+    SOLAP_ASSIGN_OR_RETURN(ctx.groups, GetGroups(spec.seq));
+    SOLAP_ASSIGN_OR_RETURN(ctx.selected_groups,
+                           SelectGroups(*ctx.groups, spec));
   } else {
-    SOLAP_ASSIGN_OR_RETURN(ctx.tmpl, spec.MakeTemplate());
+    if (resolved.groups == nullptr) {
+      SOLAP_ASSIGN_OR_RETURN(resolved, ResolveQuery(spec));
+    }
+    ctx.tmpl = std::move(resolved.tmpl);
+    ctx.groups = std::move(resolved.groups);
+    ctx.selected_groups = std::move(resolved.selected_groups);
   }
-  SOLAP_ASSIGN_OR_RETURN(ctx.groups, GetGroups(spec.seq));
-  SOLAP_ASSIGN_OR_RETURN(ctx.selected_groups,
-                         SelectGroups(*ctx.groups, spec));
   if (spec.agg != AggKind::kCount) {
     if (ctx.groups->is_raw()) {
       return Status::InvalidArgument(
@@ -243,6 +251,14 @@ Result<SOlapEngine::QueryContext> SOlapEngine::Prepare(const CuboidSpec& spec,
     }
   }
   return ctx;
+}
+
+Result<ResolvedQuery> SOlapEngine::ResolveQuery(const CuboidSpec& spec) {
+  ResolvedQuery q;
+  SOLAP_ASSIGN_OR_RETURN(q.tmpl, spec.MakeTemplate());
+  SOLAP_ASSIGN_OR_RETURN(q.groups, GetGroups(spec.seq));
+  SOLAP_ASSIGN_OR_RETURN(q.selected_groups, SelectGroups(*q.groups, spec));
+  return q;
 }
 
 Result<std::shared_ptr<SequenceGroupSet>> SOlapEngine::GetGroups(

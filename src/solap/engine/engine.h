@@ -130,6 +130,18 @@ struct ExecControl {
   uint64_t* epoch_out = nullptr;
 };
 
+/// What a plain-template query resolves to before execution: its pattern
+/// template, its formed sequence groups and the ordinals of the groups that
+/// survive its global slices. The optimizer resolves this while costing a
+/// query and hands it on (StrategyChoice::resolved), so a repository miss
+/// forms its groups once even when the formation is not cached.
+struct ResolvedQuery {
+  PatternTemplate tmpl;
+  /// nullptr = not resolved; execution then resolves it itself.
+  std::shared_ptr<SequenceGroupSet> groups;
+  std::vector<size_t> selected_groups;
+};
+
 /// \brief The S-OLAP system facade.
 ///
 /// Construct either over an event table (+ hierarchy registry), in which
@@ -294,11 +306,9 @@ class SOlapEngine {
   Result<std::shared_ptr<SequenceGroupSet>> GroupsFor(const SequenceSpec& s) {
     return GetGroups(s);
   }
-  /// Ordinals of the groups surviving `spec`'s global slices.
-  Result<std::vector<size_t>> SelectedGroupsFor(const SequenceGroupSet& set,
-                                                const CuboidSpec& spec) const {
-    return SelectGroups(set, spec);
-  }
+  /// Resolves a plain-template `spec`: its template, its formation (cached
+  /// or formed now) and the groups surviving its global slices.
+  Result<ResolvedQuery> ResolveQuery(const CuboidSpec& spec);
   /// The index cache of one group, or nullptr if none exists yet.
   const GroupIndexCache* FindIndexCache(const SequenceGroupSet& set,
                                         size_t group_idx) const;
@@ -329,7 +339,11 @@ class SOlapEngine {
   Result<std::shared_ptr<const SCuboid>> ExecuteGuarded(
       const CuboidSpec& spec, ExecStrategy strategy,
       const ExecControl& control, ScanStats* stats);
-  Result<QueryContext> Prepare(const CuboidSpec& spec, SCuboid* cuboid);
+  /// Resolves `spec` into an execution context. A plain-template query
+  /// takes over `resolved` when it is set (the optimizer's, same epoch
+  /// snapshot) instead of forming its groups again.
+  Result<QueryContext> Prepare(const CuboidSpec& spec, SCuboid* cuboid,
+                               ResolvedQuery resolved = {});
   /// Applies human-readable labels to every cell of `cuboid` (shared by the
   /// query finalize step and the ingest-time cuboid patcher).
   static Status LabelCells(SCuboid* cuboid, const SequenceGroupSet& set,

@@ -20,11 +20,9 @@ int LevelIndexOf(const HierarchyRegistry* reg, const LevelRef& ref) {
 }  // namespace
 
 Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
-  SOLAP_ASSIGN_OR_RETURN(PatternTemplate tmpl, spec.MakeTemplate());
-  SOLAP_ASSIGN_OR_RETURN(std::shared_ptr<SequenceGroupSet> groups,
-                         engine_->GroupsFor(spec.seq));
-  SOLAP_ASSIGN_OR_RETURN(std::vector<size_t> selected,
-                         engine_->SelectedGroupsFor(*groups, spec));
+  SOLAP_ASSIGN_OR_RETURN(ResolvedQuery query, engine_->ResolveQuery(spec));
+  const PatternTemplate& tmpl = query.tmpl;
+  const SequenceGroupSet* groups = query.groups.get();
 
   const size_t m = tmpl.num_positions();
   IndexShape target;
@@ -54,7 +52,7 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
 
   StrategyChoice choice;
   std::string reason = "cold query";
-  for (size_t gi : selected) {
+  for (size_t gi : query.selected_groups) {
     const SequenceGroup& group = groups->groups()[gi];
     const double n = static_cast<double>(group.num_sequences());
     choice.cb_cost += n;
@@ -193,6 +191,7 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
   if (choice.strategy == ExecStrategy::kCounterBased) {
     choice.reason = "one counter-based scan is cheaper (" + reason + ")";
   }
+  choice.resolved = std::move(query);
   return choice;
 }
 

@@ -46,6 +46,9 @@ struct StrategyChoice {
   std::string reason;
   /// One entry per selected group, in selection order (EXPLAIN detail).
   std::vector<GroupPlan> groups;
+  /// The template, formation and group selection the costing resolved;
+  /// execution takes them over instead of resolving the query again.
+  ResolvedQuery resolved;
 };
 
 /// \brief Chooses CB vs II for `spec` against the engine's current cache
@@ -65,7 +68,9 @@ class StrategyOptimizer {
   explicit StrategyOptimizer(SOlapEngine* engine) : engine_(engine) {}
 
   /// Evaluates `spec`; never executes it. Errors (unresolvable spec)
-  /// surface here exactly as Execute would report them.
+  /// surface here exactly as Execute would report them. The engine runs it
+  /// on repository misses only; every cached index costs O(1) here except
+  /// on the prefix/suffix branch, which weighs the usable lists.
   Result<StrategyChoice> Choose(const CuboidSpec& spec);
 
  private:

@@ -507,6 +507,7 @@ Result<std::shared_ptr<InvertedIndex>> ShardedEngine::GatherCompleteIndex(
           std::span<const SidList* const>(lists), bases, &ops);
     });
   }
+  gathered->RecountEntries();
   local.container_array_ops += ops.array_ops;
   local.container_bitmap_ops += ops.bitmap_ops;
   local.container_run_ops += ops.run_ops;
@@ -527,12 +528,22 @@ Status ShardedEngine::AppendRawSequences(
   // shard; results never depend on which shard owns a sequence.
   EpochGate::WriteLock wl(gate_);
   Status s = shards_.back()->AppendRawSequences(group_idx, sequences);
-  if (s.ok()) {
-    repository_->Clear();
-  } else {
+  if (!s.ok()) {
     wl.Abandon();
+    return s;
   }
-  return s;
+  repository_->Clear();
+  // The source set is what the monolithic fallback answers from; it must
+  // see the rows too. A built fallback appends them itself (under its own
+  // gate, extending its cached indices); otherwise the source set grows
+  // here, and holding fallback_mu_ keeps a concurrent Monolith() from
+  // building over a half-appended group.
+  std::lock_guard<std::mutex> lock(fallback_mu_);
+  if (fallback_) return fallback_->AppendRawSequences(group_idx, sequences);
+  SequenceGroup& group = raw_groups_->groups()[group_idx];
+  for (const std::vector<Code>& seq : sequences) group.AddSequence(seq);
+  group.InvalidateViews();
+  return Status::OK();
 }
 
 Status ShardedEngine::IngestRows(const std::vector<std::vector<Value>>& rows,

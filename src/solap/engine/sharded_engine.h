@@ -100,7 +100,9 @@ class ShardedEngine {
   // -- Incremental update ----------------------------------------------------
 
   /// Raw mode: appends to the *last* shard's block of group `group_idx`
-  /// (blocks stay contiguous; results never depend on sid placement).
+  /// (blocks stay contiguous; results never depend on sid placement) and
+  /// to the source set, so the monolithic fallback answers from the same
+  /// data whether it was built before or after the append.
   Status AppendRawSequences(size_t group_idx,
                             const std::vector<std::vector<Code>>& sequences);
 

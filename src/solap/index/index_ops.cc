@@ -310,6 +310,7 @@ Result<std::shared_ptr<InvertedIndex>> JoinExtendImpl(
     }
     if (stats != nullptr) *stats += shard.stats;
   }
+  out->RecountEntries();
 
   out->set_constraint_sig(
       WindowConstraintSig(tmpl, offset, out_len, bp.fixed_codes()));
@@ -481,6 +482,7 @@ Result<std::shared_ptr<InvertedIndex>> RollUpMerge(
   if (shard_oom.load(std::memory_order_relaxed)) {
     return Status::ResourceExhausted("P-ROLL-UP merge ran out of memory");
   }
+  out->RecountEntries();
 
   if (stats != nullptr) {
     for (const ContainerOpCounts& c : union_counts) {

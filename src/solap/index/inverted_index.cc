@@ -29,10 +29,9 @@ IndexShape IndexShape::ExtendedLeft(const LevelRef& ref) const {
   return out;
 }
 
-size_t InvertedIndex::total_entries() const {
-  size_t n = 0;
-  for (const auto& [key, list] : lists_) n += list.size();
-  return n;
+void InvertedIndex::RecountEntries() {
+  base_entries_ = 0;
+  for (const auto& [key, list] : lists_) base_entries_ += list.size();
 }
 
 size_t InvertedIndex::ByteSize() const {
@@ -56,8 +55,10 @@ void InvertedIndex::MergeDeltaIntoBase() {
     SidList& base = lists_[key];
     // Watermark invariant: every delta sid exceeds every base sid of this
     // index, so plain appends keep the base sorted.
+    const size_t before = base.size();
     dlist.ForEach([&](Sid s) { base.Append(s); });
     base.Normalize();
+    base_entries_ += base.size() - before;
   }
   delta_.clear();
 }
@@ -74,7 +75,11 @@ const SidList* InvertedIndex::LogicalList(const PatternKey& key,
 }
 
 void InvertedIndex::NormalizeLists() {
-  for (auto& [key, list] : lists_) list.Normalize();
+  base_entries_ = 0;
+  for (auto& [key, list] : lists_) {
+    list.Normalize();
+    base_entries_ += list.size();
+  }
   for (auto& [key, list] : delta_) list.Normalize();
 }
 

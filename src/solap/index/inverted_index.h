@@ -59,13 +59,20 @@ class InvertedIndex {
     constraint_sig_ = std::move(sig);
   }
 
+  /// Mutable base lists. A caller that adds, removes or rewrites lists
+  /// through this reference must call RecountEntries() afterwards.
   ListMap& lists() { return lists_; }
   const ListMap& lists() const { return lists_; }
 
   /// Appends `sid` to the list of `key`, deduplicating consecutive appends
   /// of the same sid (callers iterate sids in ascending order, so lists
   /// stay sorted).
-  void AddSid(const PatternKey& key, Sid sid) { lists_[key].Append(sid); }
+  void AddSid(const PatternKey& key, Sid sid) {
+    SidList& list = lists_[key];
+    const size_t before = list.size();
+    list.Append(sid);
+    base_entries_ += list.size() - before;
+  }
 
   const SidList* Find(const PatternKey& key) const {
     auto it = lists_.find(key);
@@ -127,7 +134,12 @@ class InvertedIndex {
   const SidList* LogicalList(const PatternKey& key, SidList* scratch) const;
 
   size_t num_lists() const { return lists_.size(); }
-  size_t total_entries() const;
+  /// Summed base-list sizes (delta excluded), kept by every base writer so
+  /// the optimizer reads it in O(1).
+  size_t total_entries() const { return base_entries_; }
+  /// Recomputes total_entries() from the lists; O(lists). For callers that
+  /// wrote base lists through lists().
+  void RecountEntries();
   /// Storage footprint: keys plus the bytes the containers actually hold,
   /// base and delta segments both — this is what index caching charges
   /// against the MemoryGovernor.
@@ -142,6 +154,7 @@ class InvertedIndex {
   std::string constraint_sig_;
   ListMap lists_;
   ListMap delta_;
+  size_t base_entries_ = 0;
 };
 
 /// Sorted-vector intersection (linear merge), the core of index joins.

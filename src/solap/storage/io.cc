@@ -509,6 +509,7 @@ Result<std::shared_ptr<InvertedIndex>> LoadIndex(const std::string& path) {
     list.RecomputeMeta();
     index->lists().emplace(key, std::move(list));
   }
+  index->RecountEntries();
   return index;
 }
 

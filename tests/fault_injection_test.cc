@@ -403,6 +403,40 @@ TEST_F(FaultTest, FormationBadAllocIsCaughtAtTheQueryBoundary) {
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 }
 
+TEST_F(FaultTest, AutoMissFormsItsGroupsOnce) {
+  // A one-byte budget refuses to cache the formation, so every GetGroups
+  // forms afresh. The optimizer resolves the groups while costing the
+  // query and hands them to execution: one miss, one formation.
+  auto table = testing::Fig8Table();
+  auto reg = testing::Fig8Hierarchies();
+  CuboidSpec spec;
+  spec.seq.cluster_by = {{"card-id", "card-id"}};
+  spec.seq.sequence_by = "time";
+  spec.symbols = {"X", "Y"};
+  spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
+               PatternDim{"Y", {"location", "station"}, {}, ""}};
+
+  FailpointConfig never;
+  never.probability = 0;  // counts evaluations, never fires
+  FailpointRegistry::Global().Arm("engine.formation", never);
+  EngineOptions opts;
+  opts.memory_budget_bytes = 1;
+  SOlapEngine engine(table.get(), reg.get(), opts);
+  auto got = engine.Execute(spec, ExecStrategy::kAuto);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(FailpointRegistry::Global().Evaluations("engine.formation"), 1u);
+  EXPECT_EQ(FailpointRegistry::Global().Fires("engine.formation"), 0u);
+  FailpointRegistry::Global().DisarmAll();
+
+  SOlapEngine unlimited(table.get(), reg.get());
+  auto want = unlimited.Execute(spec, ExecStrategy::kCounterBased);
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ((*got)->num_cells(), (*want)->num_cells());
+  for (const auto& [key, cell] : (*want)->cells()) {
+    EXPECT_EQ((*got)->CellAt(key).count, cell.count);
+  }
+}
+
 TEST_F(FaultTest, SubmitFailpointShedsAtAdmission) {
   SyntheticParams p;
   p.num_sequences = 200;

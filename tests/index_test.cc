@@ -6,16 +6,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "paper_fixtures.h"
+#include "solap/engine/sharded_engine.h"
 #include "solap/index/build_index.h"
 #include "solap/index/index_ops.h"
+#include "solap/storage/io.h"
 
 namespace solap {
 namespace {
 
 using testing::Fig8Hierarchies;
 using testing::Fig8RawGroups;
+
+size_t SummedListSizes(const InvertedIndex& index) {
+  size_t n = 0;
+  for (const auto& [key, list] : index.lists()) n += list.size();
+  return n;
+}
 
 class IndexTest : public ::testing::Test {
  protected:
@@ -275,6 +284,94 @@ TEST(IntersectUnionTest, SortedSetOps) {
   EXPECT_EQ(UnionSorted(a, b), (std::vector<Sid>{1, 3, 4, 5, 7, 8}));
   EXPECT_TRUE(IntersectSorted({}, b).empty());
   EXPECT_EQ(UnionSorted({}, b), b);
+}
+
+// total_entries() is a counter every base-list writer keeps (the optimizer
+// reads it per cached index on every miss); after each mutation path it
+// must equal the summed base-list sizes.
+TEST_F(IndexTest, TotalEntriesTracksEveryBaseWriter) {
+  auto expect_exact = [](const InvertedIndex& index, const char* path) {
+    EXPECT_GT(index.total_entries(), 0u) << path;
+    EXPECT_EQ(index.total_entries(), SummedListSizes(index)) << path;
+  };
+  auto l2 = Build(Shape(2));
+  expect_exact(*l2, "BuildIndex");
+  EXPECT_EQ(l2->total_entries(), 12u);
+
+  SequenceGroup& g = set_->groups()[0];
+  auto add_sequence = [&](std::vector<std::string> names) {
+    std::vector<Code> codes;
+    for (const auto& n : names) codes.push_back(C(n));
+    const Sid sid = g.AddSequence(codes);
+    g.InvalidateViews();
+    return sid;
+  };
+  const Sid first_new = add_sequence({"Wheaton", "Pentagon", "Glenmont"});
+  ASSERT_TRUE(
+      AppendToIndex(l2.get(), &g, *set_, reg_.get(), first_new, &stats_).ok());
+  expect_exact(*l2, "AppendToIndex");
+  EXPECT_EQ(l2->total_entries(), 14u);
+
+  // Delta sids are not base entries until the merge folds them in.
+  const Sid delta_sid = add_sequence({"Deanwood", "Clarendon", "Deanwood"});
+  ASSERT_TRUE(AppendToIndexDelta(l2.get(), &g, *set_, reg_.get(), delta_sid,
+                                 &stats_)
+                  .ok());
+  ASSERT_TRUE(l2->has_delta());
+  EXPECT_EQ(l2->total_entries(), 14u);
+  expect_exact(*l2, "AppendToIndexDelta");
+  l2->MergeDeltaIntoBase();
+  EXPECT_FALSE(l2->has_delta());
+  expect_exact(*l2, "MergeDeltaIntoBase");
+  EXPECT_EQ(l2->total_entries(), 16u);
+
+  auto* h = reg_->Find("symbol");
+  ASSERT_NE(h, nullptr);
+  const std::vector<Code> map =
+      h->LevelToLevel(set_->raw_dictionary(), 0, 1);
+  IndexShape coarse2 = Shape(2);
+  coarse2.positions[1].level = "district";
+  auto rolled = RollUpMerge(*l2, {std::vector<Code>{}, map}, coarse2, nullptr,
+                            nullptr, &stats_);
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  expect_exact(**rolled, "RollUpMerge");
+
+  PatternDim dx{"X", {"symbol", "symbol"}, {}, ""};
+  PatternDim dy{"Y", {"symbol", "symbol"}, {}, ""};
+  auto t2 = PatternTemplate::Make(PatternKind::kSubstring, {"X", "Y"},
+                                  {dx, dy});
+  ASSERT_TRUE(t2.ok());
+  BoundPattern bp2 = BindTemplate(&*t2);
+  auto refined = DrillDownRefine(**rolled, {std::vector<Code>{}, map}, bp2,
+                                 Shape(2), nullptr, &stats_);
+  ASSERT_TRUE(refined.ok()) << refined.status().ToString();
+  expect_exact(**refined, "DrillDownRefine");
+  EXPECT_EQ((*refined)->total_entries(), l2->total_entries());
+
+  PatternDim dz{"Z", {"symbol", "symbol"}, {}, ""};
+  auto t3 = PatternTemplate::Make(PatternKind::kSubstring, {"X", "Y", "Z"},
+                                  {dx, dy, dz});
+  ASSERT_TRUE(t3.ok());
+  BoundPattern bp3 = BindTemplate(&*t3);
+  auto joined = JoinExtendRight(*l2, *l2, *t3, 0, bp3, &stats_);
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  expect_exact(**joined, "JoinExtendRight");
+
+  const std::string path = ::testing::TempDir() + "/entries_index.snap";
+  ASSERT_TRUE(SaveIndex(*l2, path).ok());
+  auto loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  expect_exact(**loaded, "LoadIndex");
+  EXPECT_EQ((*loaded)->total_entries(), l2->total_entries());
+  std::remove(path.c_str());
+
+  EngineOptions two_shards;
+  two_shards.shards = 2;
+  ShardedEngine sharded(set_, reg_.get(), two_shards);
+  auto gathered = sharded.GatherCompleteIndex(0, Shape(2));
+  ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+  expect_exact(**gathered, "GatherShardLists");
+  EXPECT_EQ((*gathered)->total_entries(), l2->total_entries());
 }
 
 }  // namespace

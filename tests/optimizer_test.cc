@@ -4,7 +4,12 @@
 // coarser, or prefix) can be exploited.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "paper_fixtures.h"
+#include "solap/common/trace.h"
 #include "solap/engine/engine.h"
 #include "solap/engine/operations.h"
 #include "solap/engine/optimizer.h"
@@ -146,6 +151,81 @@ TEST(OptimizerTest, AutoStrategyExecutesCorrectly) {
   auto expect2 = check.Execute(*rolled, ExecStrategy::kCounterBased);
   ASSERT_TRUE(expect2.ok());
   EXPECT_EQ((*auto2)->num_cells(), (*expect2)->num_cells());
+}
+
+// Names of the spans one execution recorded, in opening order, plus the
+// repo.lookup verdict.
+struct TracedRun {
+  std::shared_ptr<const SCuboid> cuboid;
+  std::vector<std::string> spans;
+  std::string lookup_result;
+};
+
+TracedRun RunTraced(SOlapEngine& engine, const CuboidSpec& spec,
+                    ExecStrategy strategy) {
+  TraceContext trace;
+  ExecControl control;
+  control.trace = &trace;
+  TracedRun run;
+  auto r = engine.Execute(spec, strategy, control);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) run.cuboid = *r;
+  for (const TraceContext::Span& span : trace.Snapshot()) {
+    run.spans.push_back(span.name);
+    if (span.name != "repo.lookup") continue;
+    for (const auto& [key, value] : span.notes) {
+      if (key == "result") run.lookup_result = value;
+    }
+  }
+  return run;
+}
+
+size_t IndexOf(const std::vector<std::string>& names, const std::string& n) {
+  return static_cast<size_t>(std::find(names.begin(), names.end(), n) -
+                             names.begin());
+}
+
+TEST(OptimizerTest, RepositoryHitSkipsTheOptimizer) {
+  SyntheticData data = SmallData();
+  SOlapEngine engine(data.groups, data.hierarchies.get());
+  // A miss probes the repository first, then costs the query.
+  TracedRun miss = RunTraced(engine, XYSpec(), ExecStrategy::kAuto);
+  EXPECT_EQ(miss.lookup_result, "miss");
+  const size_t lookup = IndexOf(miss.spans, "repo.lookup");
+  const size_t optimize = IndexOf(miss.spans, "optimize");
+  ASSERT_LT(lookup, miss.spans.size());
+  ASSERT_LT(optimize, miss.spans.size()) << "a miss must run the optimizer";
+  EXPECT_LT(lookup, optimize);
+  EXPECT_LT(optimize, IndexOf(miss.spans, "prepare"));
+
+  // The revisit is a hit and never reaches the optimizer.
+  TracedRun hit = RunTraced(engine, XYSpec(), ExecStrategy::kAuto);
+  EXPECT_EQ(hit.lookup_result, "hit");
+  EXPECT_EQ(hit.spans, std::vector<std::string>{"repo.lookup"});
+  EXPECT_EQ(hit.cuboid, miss.cuboid);
+  EXPECT_EQ(engine.stats().repository_hits, 1u);
+
+  // And the cached answer is the forced-CB answer.
+  SOlapEngine check(data.groups, data.hierarchies.get());
+  auto cb = check.Execute(XYSpec(), ExecStrategy::kCounterBased);
+  ASSERT_TRUE(cb.ok());
+  ASSERT_EQ(hit.cuboid->num_cells(), (*cb)->num_cells());
+  for (const auto& [key, cell] : (*cb)->cells()) {
+    EXPECT_EQ(hit.cuboid->CellAt(key).count, cell.count);
+  }
+}
+
+TEST(OptimizerTest, ChoiceCarriesTheResolvedFormation) {
+  SyntheticData data = SmallData();
+  SOlapEngine engine(data.groups, data.hierarchies.get());
+  StrategyOptimizer opt(&engine);
+  auto choice = opt.Choose(XYSpec());
+  ASSERT_TRUE(choice.ok()) << choice.status().ToString();
+  auto groups = engine.GroupsFor(XYSpec().seq);
+  ASSERT_TRUE(groups.ok());
+  EXPECT_EQ(choice->resolved.groups, *groups);
+  EXPECT_EQ(choice->resolved.selected_groups.size(), choice->groups.size());
+  EXPECT_EQ(choice->resolved.tmpl.num_positions(), 2u);
 }
 
 TEST(OptimizerTest, ReportsCostsForAllSelectedGroups) {

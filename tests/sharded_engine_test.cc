@@ -387,6 +387,44 @@ TEST(ShardedEngine, AppendRawSequencesStaysConsistent) {
   ExpectCuboidsIdentical(**a, **b, "post-append");
 }
 
+// Raw-mode appends reach the monolithic fallback too: ExecuteOnline (always
+// fallback-served) answers from the appended data, whether the fallback
+// existed before the append or is built after it.
+TEST(ShardedEngine, AppendRawSequencesReachesTheFallback) {
+  auto total_count = [](const SCuboid& c) {
+    uint64_t n = 0;
+    for (const auto& [key, cell] : c.cells()) n += cell.count;
+    return n;
+  };
+  for (bool built_before : {true, false}) {
+    SCOPED_TRACE(built_before ? "fallback built before the append"
+                              : "fallback built after the append");
+    SyntheticParams p;
+    p.num_sequences = 2000;
+    p.num_symbols = 10;
+    p.mean_length = 6;
+    SyntheticData data = GenerateSynthetic(p);
+    ShardedEngine sharded(data.groups, data.hierarchies.get(), ShardOpts(2));
+    auto online_total = [&]() -> uint64_t {
+      auto r = sharded.ExecuteOnline(
+          PairSpec(), 1000, [](const SCuboid&, double) { return true; });
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      return r.ok() ? total_count(**r) : 0;
+    };
+    if (built_before) {
+      EXPECT_EQ(online_total(), 9671u);
+    }
+    // 500 sequences <0, 1, 2>: two distinct (X, Y) pairs each.
+    const std::vector<std::vector<Code>> batch(500, std::vector<Code>{0, 1, 2});
+    ASSERT_TRUE(sharded.AppendRawSequences(0, batch).ok());
+    auto scatter = sharded.Execute(PairSpec(), ExecStrategy::kCounterBased);
+    ASSERT_TRUE(scatter.ok()) << scatter.status().ToString();
+    EXPECT_EQ(total_count(**scatter), 10671u);
+    EXPECT_EQ(online_total(), 10671u);
+    EXPECT_EQ(data.groups->groups()[0].num_sequences(), 2500u);
+  }
+}
+
 // The service front: shard counters flow into the metrics registry.
 TEST(ShardedEngine, ServiceExportsShardCounters) {
   SyntheticData data = SmallSynthetic();
