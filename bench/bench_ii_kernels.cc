@@ -25,6 +25,10 @@
 // ("ingest/merge_on", "ingest/merge_off") gated by min_events_per_sec
 // floors in thresholds.json.
 //
+// Part 6 — formation: one WHERE-window formation over a clickstream
+// ("formation/window", median of interleaved repeats; published, not yet
+// gated), the step every query pays when its groups are not cached.
+//
 // Flags:
 //   --quick           smaller data + fewer reps (the CI smoke mode)
 //   --json=PATH       write all measurements as JSON (BENCH_ii.json)
@@ -49,6 +53,7 @@
 #include "solap/common/timer.h"
 #include "solap/common/trace.h"
 #include "solap/engine/sharded_engine.h"
+#include "solap/gen/clickstream.h"
 #include "solap/gen/synthetic.h"
 #include "solap/gen/transit.h"
 #include "solap/hierarchy/concept_hierarchy.h"
@@ -562,6 +567,62 @@ void RunIngestThroughput(bool quick, std::vector<Entry>* entries) {
   run_arm(false);
 }
 
+// Part 6 — formation. SequenceQueryEngine::Build of a request-time window a
+// quarter of the log's span long, clustered by session and ordered by
+// request time: what a query pays when the sequence cache cannot hold its
+// groups. Each repeat forms all four quarters in a rotating order, so a
+// slow stretch of the machine hits every window alike; the entry is the
+// median over all of them, with min/max in the JSON.
+void RunFormation(bool quick, std::vector<Entry>* entries) {
+  ClickstreamParams p;
+  p.num_sessions = quick ? 10'000 : 40'000;
+  p.mean_session_length = 8;
+  ClickstreamData data = GenerateClickstream(p);
+  const EventTable& table = *data.table;
+  const int time_col = table.schema().FieldIndex("request-time");
+  const int64_t first = table.Int64At(0, time_col);
+  const int64_t quarter =
+      (table.Int64At(static_cast<RowId>(table.num_rows() - 1), time_col) -
+       first) / 4;
+  constexpr size_t kWindows = 4;
+  std::vector<SequenceSpec> specs(kWindows);
+  for (size_t w = 0; w < kWindows; ++w) {
+    const int64_t begin = first + static_cast<int64_t>(w) * quarter;
+    specs[w].where = Expr::And(
+        Expr::Ge(Expr::Col("request-time"),
+                 Expr::Lit(Value::Timestamp(begin))),
+        Expr::Lt(Expr::Col("request-time"),
+                 Expr::Lit(Value::Timestamp(begin + quarter))));
+    specs[w].cluster_by = {{"session-id", "session-id"}};
+    specs[w].sequence_by = "request-time";
+  }
+  SequenceQueryEngine sqe(data.hierarchies.get());
+  std::vector<double> ms;
+  size_t sequences = 0;
+  for (size_t rep = 0; rep < (quick ? 5u : 15u); ++rep) {
+    for (size_t k = 0; k < kWindows; ++k) {
+      Timer t;
+      auto set = sqe.Build(table, specs[(rep + k) % kWindows]);
+      ms.push_back(t.ElapsedMs());
+      if (!set.ok()) {
+        std::fprintf(stderr, "formation failed: %s\n",
+                     set.status().ToString().c_str());
+        std::exit(1);
+      }
+      sequences = (*set)->total_sequences();
+    }
+  }
+  const auto [lo, hi] = std::minmax_element(ms.begin(), ms.end());
+  Entry e{"formation/window", MedianOf(ms)};
+  e.min_ms = *lo;
+  e.max_ms = *hi;
+  std::printf("\n-- formation (%zu rows, quarter-span window, %zu reps) --\n",
+              table.num_rows(), ms.size());
+  std::printf("median %.3f ms (min %.3f, max %.3f), ~%zu sequences\n", e.ms,
+              e.min_ms, e.max_ms, sequences);
+  entries->push_back(e);
+}
+
 void WriteJson(const std::string& path, const std::vector<Entry>& entries,
                bool quick) {
   std::ofstream out(path);
@@ -741,6 +802,7 @@ int Main(int argc, char** argv) {
   RunDistributedLoopback(quick, &entries);
 #endif
   RunIngestThroughput(quick, &entries);
+  RunFormation(quick, &entries);
   if (!json.empty()) WriteJson(json, entries, quick);
   if (!check.empty()) return Check(check, entries);
   return 0;

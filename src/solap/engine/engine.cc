@@ -465,11 +465,13 @@ GroupIndexCache& SOlapEngine::CacheFor(const SequenceGroupSet& set,
       std::to_string(reinterpret_cast<uintptr_t>(&set)) + ":" +
       std::to_string(group_idx);
   // unordered_map references are stable across inserts, so the returned
-  // cache outlives the lock; the cache itself synchronizes internally.
+  // cache outlives the lock; the cache itself synchronizes internally. The
+  // governor is attached once, on creation: Insert reads it under the
+  // cache's own lock, not this one.
   std::lock_guard<std::mutex> lock(index_caches_mu_);
-  GroupIndexCache& cache = index_caches_[key];
-  cache.set_governor(&governor_);
-  return cache;
+  auto [it, created] = index_caches_.try_emplace(std::move(key));
+  if (created) it->second.set_governor(&governor_);
+  return it->second;
 }
 
 const GroupIndexCache* SOlapEngine::FindIndexCache(

@@ -22,8 +22,6 @@
 // invalidated and rebuilt lazily on next use.
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "solap/common/failpoint.h"
@@ -86,61 +84,33 @@ Status SOlapEngine::IngestRows(const std::vector<std::vector<Value>>& rows,
 Result<bool> SOlapEngine::TryExtendFormation(
     const SequenceSpec& spec, const std::shared_ptr<SequenceGroupSet>& set,
     RowId from_row, FormationDeltas* deltas, ScanStats* stats) {
-  // Re-bind the formation clauses exactly as SequenceQueryEngine::Build
-  // does, so extension and rebuild classify rows identically.
-  if (spec.where != nullptr) {
-    SOLAP_RETURN_NOT_OK(spec.where->Bind(mutable_table_->schema(), nullptr));
-  }
-  std::vector<DimensionBinding> cluster_bindings;
-  for (const LevelRef& r : spec.cluster_by) {
-    SOLAP_ASSIGN_OR_RETURN(
-        DimensionBinding b,
-        DimensionBinding::MakeForTable(*mutable_table_, hierarchies_, r));
-    cluster_bindings.push_back(std::move(b));
-  }
-  SOLAP_ASSIGN_OR_RETURN(int order_col,
-                         mutable_table_->schema().RequireField(spec.sequence_by));
-  const ValueType order_type =
-      mutable_table_->schema().field(order_col).type;
-  auto order_value = [&](RowId r) -> double {
-    if (order_type == ValueType::kDouble) {
-      return mutable_table_->DoubleAt(r, order_col);
-    }
-    return static_cast<double>(mutable_table_->Int64At(r, order_col));
-  };
+  // The new rows go through the fresh-formation pipeline, so extension and
+  // rebuild select, cluster and order them identically.
+  SequenceQueryEngine sqe(hierarchies_);
+  SOLAP_ASSIGN_OR_RETURN(
+      FormedSequences fresh,
+      sqe.FormSequences(*mutable_table_, spec, &retention_, from_row));
 
-  // Every cluster key the formation already holds, read off each
-  // sequence's first event (cluster values are functionally determined by
-  // the cluster, so one row suffices).
-  std::unordered_set<CellKey, CodeVecHash> existing;
-  for (SequenceGroup& group : set->groups()) {
-    const Sid n = static_cast<Sid>(group.num_sequences());
+  // A new row whose cluster the formation already holds would splice into
+  // a formed sequence: the caller invalidates. Cluster values are
+  // functionally determined by the cluster, so each sequence's first event
+  // gives its key.
+  if (fresh.size() > 0) {
+    SOLAP_ASSIGN_OR_RETURN(std::vector<DimensionBinding> cluster_bindings,
+                           sqe.BindLevels(*mutable_table_, spec.cluster_by));
     CellKey ckey(cluster_bindings.size());
-    for (Sid s = 0; s < n; ++s) {
-      const RowId row = group.Rows(s).front();
-      for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-        ckey[i] = cluster_bindings[i].CodeOf(*mutable_table_, row);
+    for (SequenceGroup& group : set->groups()) {
+      const Sid n = static_cast<Sid>(group.num_sequences());
+      for (Sid s = 0; s < n; ++s) {
+        const RowId row = group.Rows(s).front();
+        for (size_t i = 0; i < cluster_bindings.size(); ++i) {
+          ckey[i] = cluster_bindings[i].CodeOf(*mutable_table_, row);
+        }
+        if (std::binary_search(fresh.keys.begin(), fresh.keys.end(), ckey)) {
+          return false;
+        }
       }
-      existing.insert(ckey);
     }
-  }
-
-  // Classify the new rows. Ordered map for deterministic sid assignment,
-  // mirroring the fresh-formation path.
-  std::map<CellKey, std::vector<RowId>> fresh_clusters;
-  const size_t n_rows = mutable_table_->num_rows();
-  CellKey ckey(cluster_bindings.size());
-  for (RowId row = from_row; row < n_rows; ++row) {
-    if (!retention_.Keep(*mutable_table_, row)) continue;
-    if (spec.where != nullptr &&
-        !spec.where->EvalRow(*mutable_table_, row).AsBool()) {
-      continue;
-    }
-    for (size_t i = 0; i < cluster_bindings.size(); ++i) {
-      ckey[i] = cluster_bindings[i].CodeOf(*mutable_table_, row);
-    }
-    if (existing.count(ckey) != 0) return false;  // caller invalidates
-    fresh_clusters[ckey].push_back(row);
   }
 
   // Pattern-invariant extension: all selected rows form brand-new
@@ -148,12 +118,8 @@ Result<bool> SOlapEngine::TryExtendFormation(
   const std::vector<DimensionBinding>& gb = set->global_bindings();
   std::unordered_map<size_t, Sid> old_counts;  // touched group -> old size
   CellKey gkey(gb.size());
-  for (auto& [key, seq_rows] : fresh_clusters) {
-    std::stable_sort(seq_rows.begin(), seq_rows.end(),
-                     [&](RowId a, RowId b) {
-                       double va = order_value(a), vb = order_value(b);
-                       return spec.ascending ? va < vb : vb < va;
-                     });
+  for (size_t k = 0; k < fresh.size(); ++k) {
+    std::span<const RowId> seq_rows = fresh.Rows(k);
     for (size_t i = 0; i < gb.size(); ++i) {
       gkey[i] = gb[i].CodeOf(*mutable_table_, seq_rows.front());
     }

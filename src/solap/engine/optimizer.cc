@@ -17,6 +17,23 @@ int LevelIndexOf(const HierarchyRegistry* reg, const LevelRef& ref) {
   return idx;
 }
 
+// Bytes a cold BuildIndex of a size-m index is expected to reach on
+// `group`, from its m-windows (total_events - (m - 1) * sequences): one
+// sid entry per window plus each list's fixed cost, averaged. Calibrated
+// against InvertedIndex::ByteSize() on session-windowed clickstream groups
+// (1.4k-6.3k sequences), which measured 6-45 bytes per window across
+// SUBSTRING (2), SUBSTRING (3) and SUBSEQUENCE (2) page-category indices.
+// Smaller alphabets cost less per window (transit stations 2.7-4, lists
+// dense enough for bitmaps 0.3): under a budget those pick CB sooner.
+constexpr double kIndexBytesPerWindow = 6.0;
+
+double ColdIndexBytes(const SequenceGroup& group, size_t m) {
+  const double windows =
+      static_cast<double>(group.total_events()) -
+      static_cast<double>(m - 1) * static_cast<double>(group.num_sequences());
+  return kIndexBytesPerWindow * std::max(0.0, windows);
+}
+
 }  // namespace
 
 Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
@@ -52,6 +69,7 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
 
   StrategyChoice choice;
   std::string reason = "cold query";
+  double cold_bytes = 0;  // estimated bytes of the indices built cold
   for (size_t gi : query.selected_groups) {
     const SequenceGroup& group = groups->groups()[gi];
     const double n = static_cast<double>(group.num_sequences());
@@ -178,6 +196,7 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
       // the newly computed inverted indices").
       build_cost = n;
       count_base = n;
+      cold_bytes += ColdIndexBytes(group, m);
     }
     gp.ii_cost = build_cost + (needs_count_scan ? count_base : 0);
     choice.ii_cost += gp.ii_cost;
@@ -190,6 +209,13 @@ Result<StrategyChoice> StrategyOptimizer::Choose(const CuboidSpec& spec) {
   choice.reason = reason;
   if (choice.strategy == ExecStrategy::kCounterBased) {
     choice.reason = "one counter-based scan is cheaper (" + reason + ")";
+  } else if (cold_bytes > 0 &&
+             !engine_->governor().HasHeadroom(
+                 static_cast<size_t>(cold_bytes))) {
+    // The budget would refuse the cold indices mid-build or at the cache
+    // insert, failing the II run into a CB re-run: choose CB up front.
+    choice.strategy = ExecStrategy::kCounterBased;
+    choice.reason = "index would not fit the memory budget";
   }
   choice.resolved = std::move(query);
   return choice;

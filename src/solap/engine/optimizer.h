@@ -63,6 +63,9 @@ struct StrategyChoice {
 ///    index's selectivity; or a full BuildIndex scan when cold.
 ///  - Counting rescans list entries only when a matching predicate, an
 ///    ALL-MATCHED restriction or a non-COUNT aggregate forces it.
+///  - Under a memory budget, II is infeasible when the estimated bytes of
+///    its cold index builds exceed the governor's headroom: the build would
+///    be refused and re-run as CB, so CB is chosen directly.
 class StrategyOptimizer {
  public:
   explicit StrategyOptimizer(SOlapEngine* engine) : engine_(engine) {}

@@ -143,6 +143,12 @@ bool Expr::UsesPlaceholders() const {
   return false;
 }
 
+ExprPtr Expr::Clone() const {
+  auto e = ExprPtr(new Expr(*this));
+  for (ExprPtr& c : e->children_) c = c->Clone();
+  return e;
+}
+
 namespace {
 
 const char* OpToken(ExprOp op) {

@@ -84,6 +84,10 @@ class Expr {
   /// True if any node references a placeholder.
   bool UsesPlaceholders() const;
 
+  /// Deep copy, bound state included. Binding a clone leaves this tree —
+  /// which concurrent queries may share — untouched.
+  ExprPtr Clone() const;
+
   /// Canonical text form; part of cuboid-repository cache keys.
   std::string ToString() const;
 

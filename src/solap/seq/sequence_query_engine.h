@@ -4,6 +4,7 @@
 #define SOLAP_SEQ_SEQUENCE_QUERY_ENGINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,22 @@ struct RowFilter {
   }
 };
 
+/// \brief Steps 1-3 of a formation over a range of table rows: the selected
+/// rows bucketed by cluster key, each cluster ordered by the SEQUENCE BY
+/// attribute (ties keep row order). Clusters are in ascending key order,
+/// which is the sid order a fresh formation assigns.
+struct FormedSequences {
+  std::vector<CellKey> keys;
+  /// Cluster k's rows are rows[offsets[k], offsets[k + 1]).
+  std::vector<uint32_t> offsets{0};
+  std::vector<RowId> rows;
+
+  size_t size() const { return keys.size(); }
+  std::span<const RowId> Rows(size_t k) const {
+    return {rows.data() + offsets[k], offsets[k + 1] - offsets[k]};
+  }
+};
+
 /// \brief Executes SequenceSpecs against an event table.
 ///
 /// The paper offloads these four steps to "an existing sequence database
@@ -58,6 +75,18 @@ class SequenceQueryEngine {
   Result<std::shared_ptr<SequenceGroupSet>> Build(
       const EventTable& table, const SequenceSpec& spec,
       const RowFilter* filter = nullptr);
+
+  /// Steps 1-3 over table rows [from_row, num_rows). Fresh formation and
+  /// incremental extension (engine/ingest.cc) both run it, so they select,
+  /// cluster and order rows identically.
+  Result<FormedSequences> FormSequences(const EventTable& table,
+                                        const SequenceSpec& spec,
+                                        const RowFilter* filter,
+                                        RowId from_row = 0) const;
+
+  /// Binds each of `refs` against `table`'s columns.
+  Result<std::vector<DimensionBinding>> BindLevels(
+      const EventTable& table, const std::vector<LevelRef>& refs) const;
 
  private:
   const HierarchyRegistry* hierarchies_;

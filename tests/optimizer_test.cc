@@ -215,6 +215,39 @@ TEST(OptimizerTest, RepositoryHitSkipsTheOptimizer) {
   }
 }
 
+TEST(OptimizerTest, ColdIndexOverTheBudgetChoosesCounterBased) {
+  SyntheticData data = SmallData();
+  EngineOptions tight;
+  tight.memory_budget_bytes = 4096;  // far below a 500-sequence pair index
+  SOlapEngine engine(data.groups, data.hierarchies.get(), tight);
+  StrategyOptimizer opt(&engine);
+  auto choice = opt.Choose(XYSpec());
+  ASSERT_TRUE(choice.ok()) << choice.status().ToString();
+  EXPECT_EQ(choice->strategy, ExecStrategy::kCounterBased);
+  EXPECT_EQ(choice->reason, "index would not fit the memory budget");
+
+  // Execution runs CB directly: no index build is started and refused.
+  TracedRun run = RunTraced(engine, XYSpec(), ExecStrategy::kAuto);
+  EXPECT_LT(IndexOf(run.spans, "exec.cb"), run.spans.size());
+  EXPECT_EQ(IndexOf(run.spans, "exec.ii"), run.spans.size());
+  EXPECT_EQ(IndexOf(run.spans, "exec.degrade_cb"), run.spans.size());
+  EXPECT_EQ(engine.stats().degraded_queries, 0u);
+
+  SOlapEngine check(data.groups, data.hierarchies.get());
+  auto cb = check.Execute(XYSpec(), ExecStrategy::kCounterBased);
+  ASSERT_TRUE(cb.ok());
+  ASSERT_NE(run.cuboid, nullptr);
+  ASSERT_EQ(run.cuboid->num_cells(), (*cb)->num_cells());
+  for (const auto& [key, cell] : (*cb)->cells()) {
+    EXPECT_EQ(run.cuboid->CellAt(key).count, cell.count);
+  }
+
+  // Without a budget the same cold query still ties toward II.
+  auto unbudgeted = StrategyOptimizer(&check).Choose(XYSpec());
+  ASSERT_TRUE(unbudgeted.ok());
+  EXPECT_EQ(unbudgeted->strategy, ExecStrategy::kInvertedIndex);
+}
+
 TEST(OptimizerTest, ChoiceCarriesTheResolvedFormation) {
   SyntheticData data = SmallData();
   SOlapEngine engine(data.groups, data.hierarchies.get());

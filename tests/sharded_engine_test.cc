@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "solap/common/trace.h"
@@ -298,6 +299,72 @@ TEST(ShardedEngine, CoarseClusterByRoutesToFallback) {
   ExpectCuboidsIdentical(**a, **b, "fallback route");
   EXPECT_EQ(sharded.StatsSnapshot().shard_fallbacks, 1u);
   EXPECT_EQ(sharded.StatsSnapshot().shard_scatters, 0u);
+}
+
+// Every scatter thread forms its shard's sequences from the same spec, so
+// the WHERE tree is shared by all shards and all clients: formation must
+// only read it. Two clients send time-window queries to 2 shards
+// concurrently (TSan runs this suite); each answer must equal 1 shard's.
+TEST(ShardedEngine, ConcurrentWhereWindowsMatchOneShard) {
+  TransitParams tp;
+  tp.num_passengers = 600;
+  tp.num_days = 3;
+  TransitData transit = GenerateTransit(tp);
+  const int64_t day0 = MakeTimestamp(2007, 10, 1);
+  std::vector<CuboidSpec> specs;
+  for (int64_t h = 0; h < 72; h += 9) {
+    CuboidSpec spec;
+    spec.seq.where = Expr::And(
+        Expr::And(Expr::Ge(Expr::Col("time"),
+                           Expr::Lit(Value::Timestamp(day0 + h * 3600))),
+                  Expr::Lt(Expr::Col("time"),
+                           Expr::Lit(Value::Timestamp(day0 + (h + 20) * 3600)))),
+        Expr::Not(Expr::Eq(Expr::Col("location"), Expr::Lit(Value::String(
+                                                     "Pentagon")))));
+    spec.seq.cluster_by = {{"card-id", "individual"}};
+    spec.seq.sequence_by = "time";
+    spec.symbols = {"X", "Y"};
+    spec.dims = {PatternDim{"X", {"location", "station"}, {}, ""},
+                 PatternDim{"Y", {"location", "station"}, {}, ""}};
+    specs.push_back(std::move(spec));
+  }
+
+  ShardedEngine one(transit.table.get(), transit.hierarchies.get(),
+                    ShardOpts(1));
+  std::vector<std::shared_ptr<const SCuboid>> want;
+  for (const CuboidSpec& spec : specs) {
+    auto r = one.Execute(spec, ExecStrategy::kAuto);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    want.push_back(*r);
+  }
+
+  EngineOptions opts = ShardOpts(2);
+  opts.shard_by = "card-id";
+  ShardedEngine two(transit.table.get(), transit.hierarchies.get(), opts);
+  std::vector<std::vector<std::shared_ptr<const SCuboid>>> got(2);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t q = 0; q < specs.size(); ++q) {
+        // The clients walk the specs in opposite orders, so both meet
+        // every spec before the facade repository holds its answer.
+        const size_t i = c == 0 ? q : specs.size() - 1 - q;
+        auto r = two.Execute(specs[i], ExecStrategy::kAuto);
+        got[c].push_back(r.ok() ? *r : nullptr);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(got[c].size(), specs.size());
+    for (size_t q = 0; q < specs.size(); ++q) {
+      const size_t i = c == 0 ? q : specs.size() - 1 - q;
+      ASSERT_NE(got[c][q], nullptr) << "client " << c << " spec " << i;
+      ExpectCuboidsIdentical(*want[i], *got[c][q],
+                             "window " + std::to_string(i));
+    }
+  }
+  EXPECT_GT(want.front()->num_cells(), 0u);
 }
 
 // Iceberg pruning is a HAVING over *global* counts: a cell whose per-shard
