@@ -29,6 +29,11 @@
 // ("formation/window", median of interleaved repeats; published, not yet
 // gated), the step every query pays when its groups are not cached.
 //
+// Part 7 — scans: a counter-based SUBSEQUENCE (X, Y, Z) and a regex
+// X ( . )* X over a cached clickstream formation ("cb/scan",
+// "regex/scan", medians of interleaved repeats; published, not yet
+// gated): the cell-accumulator fold and the regex matcher.
+//
 // Flags:
 //   --quick           smaller data + fewer reps (the CI smoke mode)
 //   --json=PATH       write all measurements as JSON (BENCH_ii.json)
@@ -623,6 +628,74 @@ void RunFormation(bool quick, std::vector<Entry>* entries) {
   entries->push_back(e);
 }
 
+// Part 7 — scans. One engine with its cuboid repository off, so every
+// repeat rescans the cached formation: a counter-based SUBSEQUENCE
+// (X, Y, Z) at page-category and a regex X ( . )* X at page-category, both
+// LEFT-MAXIMALITY COUNT. The two queries alternate (their order flips each
+// repeat) and each entry is the median of its repeats, min/max in the JSON.
+void RunScans(bool quick, std::vector<Entry>* entries) {
+  ClickstreamParams p;
+  p.num_sessions = quick ? 10'000 : 40'000;
+  p.mean_session_length = 8;
+  ClickstreamData data = GenerateClickstream(p);
+  EngineOptions options;
+  options.repository_capacity_bytes = 0;
+  SOlapEngine engine(data.table.get(), data.hierarchies.get(), options);
+  auto spec_for = [](std::vector<std::string> symbols, std::string regex) {
+    CuboidSpec spec;
+    spec.seq.cluster_by = {{"session-id", "session-id"}};
+    spec.seq.sequence_by = "request-time";
+    spec.kind = PatternKind::kSubsequence;
+    spec.regex = std::move(regex);
+    for (const std::string& sym : symbols) {
+      spec.dims.push_back(PatternDim{sym, {"page", "page-category"}, {}, ""});
+    }
+    if (spec.regex.empty()) spec.symbols = std::move(symbols);
+    return spec;
+  };
+  struct Arm {
+    const char* name;
+    CuboidSpec spec;
+    std::vector<double> ms;
+    size_t cells = 0;
+  };
+  std::vector<Arm> arms;
+  arms.push_back({"cb/scan", spec_for({"X", "Y", "Z"}, ""), {}, 0});
+  arms.push_back({"regex/scan", spec_for({"X"}, "X ( . )* X"), {}, 0});
+  for (Arm& arm : arms) {  // warm-up: forms and caches the groups
+    if (!engine.Execute(arm.spec, ExecStrategy::kCounterBased).ok()) {
+      std::fprintf(stderr, "%s failed\n", arm.name);
+      std::exit(1);
+    }
+  }
+  const size_t reps = quick ? 5 : 15;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t k = 0; k < arms.size(); ++k) {
+      Arm& arm = arms[(rep + k) % arms.size()];
+      Timer t;
+      auto r = engine.Execute(arm.spec, ExecStrategy::kCounterBased);
+      arm.ms.push_back(t.ElapsedMs());
+      if (!r.ok()) {
+        std::fprintf(stderr, "%s failed: %s\n", arm.name,
+                     r.status().ToString().c_str());
+        std::exit(1);
+      }
+      arm.cells = (*r)->num_cells();
+    }
+  }
+  std::printf("\n-- scans (%zu rows, %zu reps each) --\n",
+              data.table->num_rows(), reps);
+  for (Arm& arm : arms) {
+    const auto [lo, hi] = std::minmax_element(arm.ms.begin(), arm.ms.end());
+    Entry e{arm.name, MedianOf(arm.ms)};
+    e.min_ms = *lo;
+    e.max_ms = *hi;
+    std::printf("%-12s median %.3f ms (min %.3f, max %.3f), %zu cells\n",
+                arm.name, e.ms, e.min_ms, e.max_ms, arm.cells);
+    entries->push_back(e);
+  }
+}
+
 void WriteJson(const std::string& path, const std::vector<Entry>& entries,
                bool quick) {
   std::ofstream out(path);
@@ -803,6 +876,7 @@ int Main(int argc, char** argv) {
 #endif
   RunIngestThroughput(quick, &entries);
   RunFormation(quick, &entries);
+  RunScans(quick, &entries);
   if (!json.empty()) WriteJson(json, entries, quick);
   if (!check.empty()) return Check(check, entries);
   return 0;

@@ -50,6 +50,10 @@ class SCuboid {
   void MergeCell(const CellKey& key, const CellValue& v) {
     cells_[key].Merge(v);
   }
+  /// Overwrites the cell at `key` with a full state. The cell accumulator
+  /// (cube/cell_accumulator.h) flushes through this: its state was seeded
+  /// from CellAt, so each cell keeps the fold order of direct Add calls.
+  void SetCell(const CellKey& key, const CellValue& v) { cells_[key] = v; }
 
   const std::unordered_map<CellKey, CellValue, CodeVecHash>& cells() const {
     return cells_;
@@ -72,6 +76,10 @@ class SCuboid {
   /// Records the display label of `code` on dimension `dim` (the engine
   /// calls this as it inserts cells).
   void SetLabel(size_t dim, Code code, std::string label);
+  /// True when `code` on dimension `dim` already carries a label.
+  bool HasLabel(size_t dim, Code code) const {
+    return dim < labels_.size() && labels_[dim].count(code) != 0;
+  }
   /// Label of `code` on dimension `dim` (falls back to the numeric code).
   std::string LabelOf(size_t dim, Code code) const;
 

@@ -1,13 +1,14 @@
 // Counter-based S-cuboid construction (paper §4.2.1, Fig. 7): scan every
 // sequence of every selected group, enumerate the template's occurrences,
-// and fold assignments into cuboid cells. Groups larger than a few
-// thousand sequences are partitioned across the engine's shared compute
-// pool (EngineOptions::exec_threads); each partition folds
-// into a private cuboid and the partials are merged in partition order —
+// and fold assignments into a flat per-scan cell accumulator
+// (cube/cell_accumulator.h) that is flushed into the cuboid. Groups larger
+// than a few thousand sequences are partitioned across the engine's shared
+// compute pool (EngineOptions::exec_threads); each partition folds into a
+// private cuboid and the partials are merged in partition order —
 // COUNT/SUM/AVG/MIN/MAX all merge losslessly.
 #include <new>
-#include <unordered_set>
 
+#include "solap/cube/cell_accumulator.h"
 #include "solap/engine/engine.h"
 
 namespace solap {
@@ -87,12 +88,19 @@ Status SOlapEngine::CounterScanRange(const QueryContext& ctx,
                                      ScanStats* stats) const {
   const PatternTemplate& tmpl = ctx.tmpl;
   const size_t n_dims = tmpl.num_dims();
+  const size_t m = tmpl.num_positions();
   const CellRestriction restriction = ctx.spec->restriction;
+  const bool whole = restriction == CellRestriction::kLeftMaxDataGo;
   // Under the left-maximality restrictions a sequence contributes once per
-  // distinct instantiation (its *first* occurrence); `seen` tracks the
-  // instantiations already assigned for the current sequence.
-  std::unordered_set<PatternKey, CodeVecHash> seen;
-  PatternKey dim_codes(n_dims);
+  // distinct instantiation (its *first* occurrence); the accumulator's
+  // per-sequence stamp drops the later ones.
+  CellAccumulator cells(cuboid, group.key(), n_dims,
+                        restriction != CellRestriction::kAllMatchedGo);
+  size_t first_pos[kMaxTemplatePositions];
+  for (size_t d = 0; d < n_dims; ++d) {
+    first_pos[d] = static_cast<size_t>(tmpl.first_position_of(d));
+  }
+  Code dim_codes[kMaxTemplatePositions];
   for (Sid s = begin; s < end; ++s) {
     // Cancellation/deadline poll every 256 sequences — cheap relative to
     // occurrence enumeration, fine-grained enough for sub-second timeouts.
@@ -100,19 +108,22 @@ Status SOlapEngine::CounterScanRange(const QueryContext& ctx,
       SOLAP_RETURN_NOT_OK(CheckStop(ctx.stop, "counter-based scan"));
     }
     ++stats->sequences_scanned;
-    seen.clear();
+    cells.NextSequence();
     bp.ForEachOccurrence(s, [&](const uint32_t* idx) {
       for (size_t d = 0; d < n_dims; ++d) {
-        size_t fp = static_cast<size_t>(tmpl.first_position_of(d));
-        dim_codes[d] = bp.CodeAt(fp, s, idx[fp]);
+        dim_codes[d] = bp.CodeAt(first_pos[d], s, idx[first_pos[d]]);
       }
-      if (restriction == CellRestriction::kAllMatchedGo ||
-          seen.insert(dim_codes).second) {
-        AddAssignment(ctx, group, bp, dim_codes, s, idx, cuboid);
+      CellValue* cell = cells.Claim(dim_codes);
+      if (cell == nullptr) return true;
+      if (ctx.measure_col < 0) {
+        ++cell->count;  // COUNT keeps a neutral measure state
+      } else {
+        cell->Add(ContentSum(ctx, group, s, idx, m, whole));
       }
       return true;
     });
   }
+  cells.Flush();
   return Status::OK();
 }
 

@@ -64,12 +64,19 @@ Status SOlapEngine::LabelCells(SCuboid* cuboid, const SequenceGroupSet& set,
   }
   const std::vector<DimensionBinding>& gb = set.global_bindings();
   const size_t q = gb.size();
+  // Each (dimension, code) is labelled once: building a label walks the
+  // hierarchy, and most cells share their codes with many others.
   for (const auto& [key, cell] : cuboid->cells()) {
     for (size_t i = 0; i < q; ++i) {
-      cuboid->SetLabel(i, key[i], gb[i].Label(key[i]));
+      if (!cuboid->HasLabel(i, key[i])) {
+        cuboid->SetLabel(i, key[i], gb[i].Label(key[i]));
+      }
     }
     for (size_t d = 0; d < pattern_bindings.size(); ++d) {
-      cuboid->SetLabel(q + d, key[q + d], pattern_bindings[d].Label(key[q + d]));
+      if (!cuboid->HasLabel(q + d, key[q + d])) {
+        cuboid->SetLabel(q + d, key[q + d],
+                         pattern_bindings[d].Label(key[q + d]));
+      }
     }
   }
   return Status::OK();

@@ -359,7 +359,8 @@ class SOlapEngine {
   double ContentSum(const QueryContext& ctx, SequenceGroup& group, Sid s,
                     const uint32_t* idx, size_t m, bool whole_sequence) const;
 
-  /// Folds one assignment into `cuboid`.
+  /// Folds one assignment into `cuboid` (II verification; the scans fold
+  /// through a CellAccumulator instead).
   void AddAssignment(const QueryContext& ctx, SequenceGroup& group,
                      const BoundPattern& bp, const PatternKey& dim_codes,
                      Sid s, const uint32_t* idx, SCuboid* cuboid) const;
@@ -370,8 +371,9 @@ class SOlapEngine {
   // CB strategy (engine/counter_based.cc).
   Status RunCounterBased(QueryContext& ctx);
   /// Scans sequences [begin, end) of one group, folding assignments into
-  /// `cuboid` and counting into `stats` — the unit shared by sequential
-  /// CB, multi-threaded CB (per-thread cuboids) and online aggregation.
+  /// `cuboid` through a CellAccumulator and counting into `stats` — the
+  /// unit shared by sequential CB, multi-threaded CB (per-thread cuboids),
+  /// ingest cuboid patches and online aggregation.
   Status CounterScanRange(const QueryContext& ctx, SequenceGroup& group,
                           const BoundPattern& bp, Sid begin, Sid end,
                           SCuboid* cuboid, ScanStats* stats) const;

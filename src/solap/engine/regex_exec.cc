@@ -4,8 +4,8 @@
 // per-subexpression indexing and is future work, mirroring the paper's
 // remark that its two strategies are "first-attempt" solutions.
 #include <algorithm>
-#include <unordered_set>
 
+#include "solap/cube/cell_accumulator.h"
 #include "solap/engine/engine.h"
 
 namespace solap {
@@ -14,6 +14,11 @@ Status SOlapEngine::RunRegex(QueryContext& ctx) {
   const RegexTemplate& tmpl = ctx.rtmpl;
   const size_t n_dims = tmpl.num_dims();
   const CellRestriction restriction = ctx.spec->restriction;
+  const bool left_max = restriction != CellRestriction::kAllMatchedGo;
+  const bool whole = restriction == CellRestriction::kLeftMaxDataGo;
+  const bool measure_is_double =
+      ctx.measure_col >= 0 &&
+      table_->schema().field(ctx.measure_col).type == ValueType::kDouble;
 
   for (size_t gi : ctx.selected_groups) {
     SequenceGroup& group = ctx.groups->groups()[gi];
@@ -48,49 +53,49 @@ Status SOlapEngine::RunRegex(QueryContext& ctx) {
     };
 
     BoundRegex bound(&tmpl, std::move(literal_codes));
-    std::unordered_set<PatternKey, CodeVecHash> seen;
-    PatternKey dim_codes(n_dims);
+    CellAccumulator cells(ctx.cuboid, group.key(), n_dims, left_max);
+    // Under LEFT-MAXIMALITY a full binding the slice refuses, or one this
+    // sequence already counted, can never count again: the matcher skips
+    // the rest of its subtree. ALL-MATCHED-GO counts every match.
+    auto dead = [&](const Code* bindings) {
+      return left_max &&
+             (!binding_allowed(bindings) || cells.ClaimedInSequence(bindings));
+    };
+    std::span<const RowId> rows;
     const Sid n = static_cast<Sid>(group.num_sequences());
     for (Sid s = 0; s < n; ++s) {
       if ((s & 0xFF) == 0) {
         SOLAP_RETURN_NOT_OK(CheckStop(ctx.stop, "regex scan"));
       }
       ++ctx.stats->sequences_scanned;
-      seen.clear();
-      bound.ForEachMatch(group.Symbols(view, s), [&](uint32_t start,
-                                                     uint32_t end,
-                                                     const Code* bindings) {
-        if (!binding_allowed(bindings)) return true;
-        dim_codes.assign(bindings, bindings + n_dims);
-        if (restriction != CellRestriction::kAllMatchedGo &&
-            !seen.insert(dim_codes).second) {
-          return true;  // left-maximality: first match per instantiation
-        }
-        CellKey cell = group.key();
-        cell.insert(cell.end(), dim_codes.begin(), dim_codes.end());
-        if (ctx.measure_col < 0) {
-          ctx.cuboid->AddCountOnly(cell);
-          return true;
-        }
-        double v = 0.0;
-        {
-          std::span<const RowId> rows = group.Rows(s);
-          const bool whole =
-              restriction == CellRestriction::kLeftMaxDataGo;
-          uint32_t lo = whole ? 0 : start;
-          uint32_t hi = whole ? static_cast<uint32_t>(rows.size()) : end;
-          const Field& f = table_->schema().field(ctx.measure_col);
-          for (uint32_t i = lo; i < hi; ++i) {
-            v += f.type == ValueType::kDouble
-                     ? table_->DoubleAt(rows[i], ctx.measure_col)
-                     : static_cast<double>(
-                           table_->Int64At(rows[i], ctx.measure_col));
-          }
-        }
-        ctx.cuboid->Add(cell, v);
-        return true;
-      });
+      cells.NextSequence();
+      if (ctx.measure_col >= 0) rows = group.Rows(s);
+      bound.ForEachMatch(
+          group.Symbols(view, s),
+          [&](uint32_t start, uint32_t end, const Code* bindings) {
+            if (!binding_allowed(bindings)) return true;
+            // nullptr: left-maximality, first match per instantiation only.
+            CellValue* cell = cells.Claim(bindings);
+            if (cell == nullptr) return true;
+            if (ctx.measure_col < 0) {
+              ++cell->count;  // COUNT keeps a neutral measure state
+              return true;
+            }
+            uint32_t lo = whole ? 0 : start;
+            uint32_t hi = whole ? static_cast<uint32_t>(rows.size()) : end;
+            double v = 0.0;
+            for (uint32_t i = lo; i < hi; ++i) {
+              v += measure_is_double
+                       ? table_->DoubleAt(rows[i], ctx.measure_col)
+                       : static_cast<double>(
+                             table_->Int64At(rows[i], ctx.measure_col));
+            }
+            cell->Add(v);
+            return true;
+          },
+          dead);
     }
+    cells.Flush();
   }
   return Status::OK();
 }

@@ -1,6 +1,8 @@
 #include "solap/expr/expr.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 
 namespace solap {
 
@@ -174,13 +176,34 @@ const char* OpToken(ExprOp op) {
   }
 }
 
+// Exact, re-lexable text of a literal. A double prints as the shortest
+// fixed notation that reads back as the same double, always with a '.' so
+// the lexer reads a double again. A string is quoted with a quote character
+// it does not contain (the lexer has no escapes; the parser cannot produce
+// a string holding both).
+std::string LiteralText(const Value& v) {
+  if (v.type() == ValueType::kString) {
+    const char quote = v.str().find('"') == std::string::npos ? '"' : '\'';
+    return quote + v.str() + quote;
+  }
+  if (v.type() != ValueType::kDouble || !std::isfinite(v.dbl())) {
+    return v.ToString();
+  }
+  char buf[400];  // the longest shortest fixed double is ~330 characters
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v.dbl(), std::chars_format::fixed)
+          .ptr;
+  std::string out(buf, end);
+  if (out.find('.') == std::string::npos) out += ".0";
+  return out;
+}
+
 }  // namespace
 
 std::string Expr::ToString() const {
   switch (op_) {
     case ExprOp::kConst:
-      return literal_.type() == ValueType::kString ? "\"" + literal_.str() + "\""
-                                                   : literal_.ToString();
+      return LiteralText(literal_);
     case ExprOp::kColumn:
       return column_;
     case ExprOp::kPlaceholder:

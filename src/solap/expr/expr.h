@@ -88,7 +88,10 @@ class Expr {
   /// which concurrent queries may share — untouched.
   ExprPtr Clone() const;
 
-  /// Canonical text form; part of cuboid-repository cache keys.
+  /// Canonical text form; part of cuboid-repository cache keys and the
+  /// shard wire. Literals render exactly: the parser reads the text back
+  /// as the same tree (Value::ToString, which rounds doubles, is for
+  /// display only).
   std::string ToString() const;
 
  private:

@@ -43,6 +43,16 @@ Code ConceptHierarchy::MapBaseCode(const Dictionary& base_dict, int level,
   return MapBaseCodeLocked(base_dict, level, base_code);
 }
 
+std::vector<Code> ConceptHierarchy::CompiledLevel(const Dictionary& base_dict,
+                                                int level) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (base_dict.size() != 0) {
+    MapBaseCodeLocked(base_dict, level,
+                      static_cast<Code>(base_dict.size() - 1));
+  }
+  return base_to_level_[level];
+}
+
 Code ConceptHierarchy::MapBaseCodeLocked(const Dictionary& base_dict,
                                          int level, Code base_code) {
   std::vector<Code>& compiled = base_to_level_[level];

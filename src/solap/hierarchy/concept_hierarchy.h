@@ -46,6 +46,11 @@ class ConceptHierarchy {
   /// amortized O(1).
   Code MapBaseCode(const Dictionary& base_dict, int level, Code base_code);
 
+  /// The compiled base-code → `level` code table (level >= 1), covering
+  /// every value currently in `base_dict`, copied under one lock — for
+  /// callers that map many codes at once (MapBaseCode locks per call).
+  std::vector<Code> CompiledLevel(const Dictionary& base_dict, int level);
+
   /// Display name of `code` at `level` (level 0 reads `base_dict`).
   std::string LabelOf(const Dictionary& base_dict, int level,
                       Code code) const;

@@ -60,9 +60,11 @@ Result<BoundPattern> BoundPattern::Bind(
           std::to_string(tmpl->num_positions()) + "), got " +
           std::to_string(placeholders.size()));
     }
+    // Bind a private copy: the spec's tree is shared by every shard thread
+    // and client running this query, and Bind writes column slots.
+    bp.predicate_ = predicate->Clone();
     SOLAP_RETURN_NOT_OK(
-        predicate->Bind(set.table()->schema(), &placeholders));
-    bp.predicate_ = predicate.get();
+        bp.predicate_->Bind(set.table()->schema(), &placeholders));
   }
   return bp;
 }

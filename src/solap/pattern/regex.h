@@ -22,10 +22,12 @@
 //
 // Matching compiles the expression to a Thompson NFA and enumerates
 // accepting (start, end, bindings) triples by depth-first search with
-// binding backtracking; epsilon cycles are pruned per (state, position).
+// binding backtracking; epsilon cycles are pruned per (state, position),
+// and so is every subtree whose full binding the caller declares dead.
 #ifndef SOLAP_PATTERN_REGEX_H_
 #define SOLAP_PATTERN_REGEX_H_
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,6 +85,10 @@ class RegexTemplate {
 
 /// \brief A RegexTemplate bound to concrete data: literal labels resolved
 /// to codes, ready to enumerate matches over symbol-code spans.
+///
+/// The matcher keeps its bindings, on-path marks and emitted-match records
+/// as scratch reused across start positions and sequences, so matching
+/// mutates the BoundRegex: one per scanning thread.
 class BoundRegex {
  public:
   /// `literal_codes[i]` is the code of literal_labels()[i] in the target
@@ -95,54 +101,82 @@ class BoundRegex {
   /// (kNullCode = dimension unbound on the accepting path). Return false
   /// from `fn` to stop. Matches are deduplicated per (start, end,
   /// bindings).
-  template <typename Fn>
-  void ForEachMatch(std::span<const Code> seq, Fn&& fn) const;
+  ///
+  /// `dead(bindings)` is asked only while every dimension is bound: when
+  /// the last one becomes bound and after each emitted match. Returning
+  /// true skips every further match under that binding reached from the
+  /// current start; a caller that would drop all of them (a binding
+  /// already counted, or refused by a slice) loses nothing.
+  template <typename Fn, typename Dead>
+  void ForEachMatch(std::span<const Code> seq, Fn&& fn, Dead&& dead);
 
  private:
-  template <typename Fn>
-  bool MatchFrom(std::span<const Code> seq, uint32_t start, Fn&& fn) const;
+  template <typename Fn, typename Dead>
+  bool MatchFrom(std::span<const Code> seq, uint32_t start, Fn& fn,
+                 Dead& dead);
 
   const RegexTemplate* tmpl_;
   std::vector<Code> literal_codes_;
+  // Matcher scratch (see the class comment).
+  std::vector<Code> bindings_;
+  std::vector<uint8_t> on_path_;  // all zero between matches
+  std::vector<uint32_t> emitted_ends_;
+  std::vector<Code> emitted_bindings_;  // num_dims() per end
 };
 
 // ---------------------------------------------------------------------------
 
-template <typename Fn>
-void BoundRegex::ForEachMatch(std::span<const Code> seq, Fn&& fn) const {
+template <typename Fn, typename Dead>
+void BoundRegex::ForEachMatch(std::span<const Code> seq, Fn&& fn,
+                              Dead&& dead) {
+  bindings_.assign(tmpl_->num_dims(), kNullCode);
+  const size_t guards = tmpl_->states().size() * (seq.size() + 1);
+  if (on_path_.size() < guards) on_path_.resize(guards, 0);
   for (uint32_t start = 0; start < seq.size(); ++start) {
-    if (!MatchFrom(seq, start, fn)) return;
+    if (!MatchFrom(seq, start, fn, dead)) return;
   }
 }
 
-template <typename Fn>
-bool BoundRegex::MatchFrom(std::span<const Code> seq, uint32_t start,
-                           Fn&& fn) const {
+template <typename Fn, typename Dead>
+bool BoundRegex::MatchFrom(std::span<const Code> seq, uint32_t start, Fn& fn,
+                           Dead& dead) {
   const auto& states = tmpl_->states();
   const size_t n_dims = tmpl_->num_dims();
-  std::vector<Code> bindings(n_dims, kNullCode);
+  Code* bindings = bindings_.data();
   // Epsilon-cycle guard: a (state, pos) pair revisited without consuming
   // input within one DFS path means an epsilon loop (bindings cannot have
   // changed since the position did not advance).
-  std::vector<uint8_t> on_path(states.size() * (seq.size() + 1), 0);
+  uint8_t* on_path = on_path_.data();
+  size_t unbound = n_dims;
   bool keep_going = true;
-  // Dedup of emitted (end, bindings) for this start.
-  std::vector<std::pair<uint32_t, std::vector<Code>>> emitted;
+  // Set when `dead` condemns the current full binding; cleared where the
+  // DFS unbinds the dimension whose binding completed it.
+  bool pruned = false;
+  emitted_ends_.clear();
+  emitted_bindings_.clear();
 
   auto rec = [&](auto&& self, int state, uint32_t pos) -> void {
-    if (!keep_going) return;
     if (state == tmpl_->accept_state() && pos > start) {
+      // Dedup of emitted (end, bindings) for this start.
       bool fresh = true;
-      for (const auto& [e, b] : emitted) {
-        if (e == pos && b == bindings) {
+      for (size_t i = 0; i < emitted_ends_.size(); ++i) {
+        if (emitted_ends_[i] == pos &&
+            std::equal(bindings, bindings + n_dims,
+                       emitted_bindings_.begin() + i * n_dims)) {
           fresh = false;
           break;
         }
       }
       if (fresh) {
-        emitted.emplace_back(pos, bindings);
-        if (!fn(start, pos, bindings.data())) {
+        emitted_ends_.push_back(pos);
+        emitted_bindings_.insert(emitted_bindings_.end(), bindings,
+                                 bindings + n_dims);
+        if (!fn(start, pos, static_cast<const Code*>(bindings))) {
           keep_going = false;
+          return;
+        }
+        if (unbound == 0 && dead(static_cast<const Code*>(bindings))) {
+          pruned = true;
           return;
         }
       }
@@ -151,7 +185,7 @@ bool BoundRegex::MatchFrom(std::span<const Code> seq, uint32_t start,
     if (on_path[guard]) return;
     on_path[guard] = 1;
     for (const RegexTemplate::Edge& edge : states[state]) {
-      if (!keep_going) break;
+      if (!keep_going || pruned) break;
       switch (edge.kind) {
         case RegexTemplate::EdgeKind::kEpsilon:
           self(self, edge.target, pos);
@@ -170,7 +204,12 @@ bool BoundRegex::MatchFrom(std::span<const Code> seq, uint32_t start,
           Code& slot = bindings[edge.index];
           if (slot == kNullCode) {
             slot = seq[pos];
-            self(self, edge.target, pos + 1);
+            --unbound;
+            if (unbound != 0 || !dead(static_cast<const Code*>(bindings))) {
+              self(self, edge.target, pos + 1);
+            }
+            pruned = false;
+            ++unbound;
             slot = kNullCode;  // backtrack
           } else if (slot == seq[pos]) {
             self(self, edge.target, pos + 1);

@@ -1,5 +1,6 @@
 #include "solap/seq/dimension.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -91,6 +92,39 @@ Code DimensionBinding::MapBaseCode(Code base_code) const {
     return base_code;
   }
   return hierarchy_->MapBaseCode(*base_dict_, level_index_, base_code);
+}
+
+void DimensionBinding::CodesOf(const EventTable& table,
+                               std::span<const RowId> rows,
+                               Code* out) const {
+  if (calendar_) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      out[i] = CalendarBucket(table.Int64At(rows[i], col_), cal_level_);
+    }
+    return;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out[i] = table.CodeAt(rows[i], col_);
+  }
+  MapBaseCodes({out, rows.size()}, out);
+}
+
+void DimensionBinding::MapBaseCodes(std::span<const Code> base_codes,
+                                    Code* out) const {
+  if (calendar_ || hierarchy_ == nullptr || level_index_ == 0) {
+    if (out != base_codes.data()) {
+      std::copy(base_codes.begin(), base_codes.end(), out);
+    }
+    return;
+  }
+  // A snapshot of the compiled table; a code it does not cover (one added
+  // to the dictionary since) takes the locked per-code path.
+  const std::vector<Code> level =
+      hierarchy_->CompiledLevel(*base_dict_, level_index_);
+  for (size_t i = 0; i < base_codes.size(); ++i) {
+    const Code base = base_codes[i];
+    out[i] = base < level.size() ? level[base] : MapBaseCode(base);
+  }
 }
 
 Result<Code> DimensionBinding::CodeOfLabel(const std::string& label) const {

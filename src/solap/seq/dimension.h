@@ -3,6 +3,7 @@
 #ifndef SOLAP_SEQ_DIMENSION_H_
 #define SOLAP_SEQ_DIMENSION_H_
 
+#include <span>
 #include <string>
 
 #include "solap/common/status.h"
@@ -53,6 +54,14 @@ class DimensionBinding {
 
   /// Maps a base-level code to this binding's level (identity for level 0).
   Code MapBaseCode(Code base_code) const;
+
+  /// CodeOf over many rows: `out[i]` is the level code of `rows[i]`. Takes
+  /// the hierarchy lock once, not once per row. Table-bound bindings only.
+  void CodesOf(const EventTable& table, std::span<const RowId> rows,
+               Code* out) const;
+  /// MapBaseCode over many codes (`out` may alias `base_codes`), with one
+  /// hierarchy lock.
+  void MapBaseCodes(std::span<const Code> base_codes, Code* out) const;
 
   /// Display label of a code at this binding's level.
   std::string Label(Code code) const;

@@ -17,16 +17,13 @@ const std::vector<Code>& SequenceGroup::ViewFor(const DimensionBinding& dim) {
   auto it = views_.find(key);
   if (it != views_.end()) return it->second;
 
+  // One hierarchy lock for the whole view, not one per event.
   std::vector<Code> view(data_.size());
   if (table_ != nullptr) {
-    for (size_t i = 0; i < data_.size(); ++i) {
-      view[i] = dim.CodeOf(*table_, data_[i]);
-    }
+    dim.CodesOf(*table_, data_, view.data());
   } else {
     // Raw group: data_ holds base codes of the single raw attribute.
-    for (size_t i = 0; i < data_.size(); ++i) {
-      view[i] = dim.MapBaseCode(data_[i]);
-    }
+    dim.MapBaseCodes(data_, view.data());
   }
   return views_.emplace(key, std::move(view)).first->second;
 }

@@ -398,5 +398,32 @@ TEST_F(EngineTest, CuboidRenderingHasLabels) {
   EXPECT_EQ(top[0].second, 2);
 }
 
+// Cache keys render double literals exactly: two WHERE cutoffs that agree
+// in their first six significant digits are different queries, and the
+// second must not be answered from the first one's cached cuboid.
+TEST_F(EngineTest, DoubleLiteralsPastSixDigitsKeyTheirOwnCuboids) {
+  const int64_t t0 = MakeTimestamp(2007, 12, 25, 8, 0, 0);
+  auto before = [&](double cutoff) {
+    CuboidSpec s;
+    s.seq.where = Expr::Lt(Expr::Col("time"), Expr::Lit(Value::Double(cutoff)));
+    s.seq.cluster_by = {{"card-id", "card-id"}};
+    s.seq.sequence_by = "time";
+    s.symbols = {"X"};
+    s.dims = {PatternDim{"X", {"location", "station"}, {}, ""}};
+    return s;
+  };
+  // s1's six events, then s1 and s2's ten (events are 60 s apart).
+  const CuboidSpec early = before(static_cast<double>(t0) + 300.5);
+  const CuboidSpec later = before(static_cast<double>(t0) + 540.5);
+  ASSERT_NE(early.CanonicalString(), later.CanonicalString());
+  auto a = engine_.Execute(early, ExecStrategy::kCounterBased);
+  auto b = engine_.Execute(later, ExecStrategy::kCounterBased);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NE(a->get(), b->get());
+  EXPECT_EQ(CellByLabels(**a, {"Pentagon"}), 1);
+  EXPECT_EQ(CellByLabels(**b, {"Pentagon"}), 2);
+  EXPECT_EQ(CellByLabels(**b, {"Wheaton"}), 2);
+}
+
 }  // namespace
 }  // namespace solap

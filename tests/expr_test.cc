@@ -104,7 +104,7 @@ TEST_F(ExprTest, ToStringIsCanonical) {
       Expr::Eq(Expr::PCol("x1", "action"), Expr::Lit(Value::String("in"))),
       Expr::Not(Expr::Lt(Expr::Col("amount"), Expr::Lit(Value::Double(0)))));
   EXPECT_EQ(e->ToString(),
-            "((x1.action = \"in\") AND NOT ((amount < 0)))");
+            "((x1.action = \"in\") AND NOT ((amount < 0.0)))");
 }
 
 TEST_F(ExprTest, ShortCircuitSemantics) {

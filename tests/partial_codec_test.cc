@@ -261,6 +261,55 @@ TEST(PartialCodecTest, RegexSpecRoundTrips) {
 
 // -- net/json hardening (satellite 2) ---------------------------------------
 
+// Trees equal node for node, literals bit for bit.
+void ExpectSameTree(const Expr& a, const Expr& b) {
+  ASSERT_EQ(a.op(), b.op());
+  ASSERT_EQ(a.literal().type(), b.literal().type());
+  if (a.literal().type() == ValueType::kDouble) {
+    double x = a.literal().dbl(), y = b.literal().dbl();
+    EXPECT_EQ(0, std::memcmp(&x, &y, sizeof x)) << x << " vs " << y;
+  } else {
+    EXPECT_EQ(a.literal().ToString(), b.literal().ToString());
+  }
+  ASSERT_EQ(a.children().size(), b.children().size());
+  for (size_t i = 0; i < a.children().size(); ++i) {
+    ExpectSameTree(*a.children()[i], *b.children()[i]);
+  }
+}
+
+TEST(PartialCodecTest, SpecLiteralsRoundTripExactly) {
+  CuboidSpec spec;
+  auto where = ParseExpression(
+      "ts < 1199791500.5 AND fee >= 0.1 AND fee < 2.675 AND "
+      "note != 'say \"hi\"' AND city = \"o'hare\"");
+  ASSERT_TRUE(where.ok()) << where.status().ToString();
+  spec.seq.where = *where;
+  spec.seq.cluster_by = {LevelRef{"card", "base"}};
+  spec.seq.sequence_by = "ts";
+  spec.symbols = {"X", "Y"};
+  spec.dims = {{"X", LevelRef{"station", "base"}, {}, ""},
+               {"Y", LevelRef{"station", "base"}, {}, ""}};
+  spec.placeholders = {"x1", "y1"};
+  auto pred = ParseExpression("x1.fee < 0.30000000000000004");
+  ASSERT_TRUE(pred.ok()) << pred.status().ToString();
+  spec.predicate = *pred;
+
+  auto decoded = DecodeCuboidSpecText(EncodeCuboidSpec(spec));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameTree(*spec.seq.where, *decoded->seq.where);
+  ExpectSameTree(*spec.predicate, *decoded->predicate);
+  EXPECT_EQ(spec.CanonicalString(), decoded->CanonicalString());
+
+  // A cutoff differing only in its 7th significant digit is another key.
+  CuboidSpec other = spec;
+  auto other_where = ParseExpression(
+      "ts < 1199794500.5 AND fee >= 0.1 AND fee < 2.675 AND "
+      "note != 'say \"hi\"' AND city = \"o'hare\"");
+  ASSERT_TRUE(other_where.ok());
+  other.seq.where = *other_where;
+  EXPECT_NE(spec.CanonicalString(), other.CanonicalString());
+}
+
 TEST(JsonHardeningTest, FiniteNumberRejectsNaNAndInf) {
   EXPECT_FALSE(net::JsonFiniteNumber(std::nan("")).ok());
   EXPECT_FALSE(

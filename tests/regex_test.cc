@@ -64,7 +64,7 @@ class RegexMatchTest : public ::testing::Test {
       }
       out.insert(rec);
       return true;
-    });
+    }, [](const Code*) { return false; });
     return out;
   }
 };

@@ -19,6 +19,7 @@
 #include "solap/engine/engine.h"
 #include "solap/engine/operations.h"
 #include "solap/engine/sharded_engine.h"
+#include "solap/gen/clickstream.h"
 #include "solap/gen/synthetic.h"
 #include "solap/gen/transit.h"
 #include "solap/index/build_index.h"
@@ -362,6 +363,71 @@ TEST(ShardedEngine, ConcurrentWhereWindowsMatchOneShard) {
       ASSERT_NE(got[c][q], nullptr) << "client " << c << " spec " << i;
       ExpectCuboidsIdentical(*want[i], *got[c][q],
                              "window " + std::to_string(i));
+    }
+  }
+  EXPECT_GT(want.front()->num_cells(), 0u);
+}
+
+// Every shard thread binds the matching predicate of the same spec, and
+// concurrent clients share one predicate tree: each binding must bind its
+// own copy. Two clients send CB queries carrying one shared
+// `x1.page != y1.page` tree to 2 shards (TSan runs this suite); each
+// answer must equal 1 shard's.
+TEST(ShardedEngine, ConcurrentMatchingPredicatesMatchOneShard) {
+  ClickstreamParams cp;
+  cp.num_sessions = 3000;
+  ClickstreamData data = GenerateClickstream(cp);
+  const ExprPtr predicate =
+      Expr::Ne(Expr::PCol("x1", "page"), Expr::PCol("y1", "page"));
+  std::vector<CuboidSpec> specs;
+  for (PatternKind kind : {PatternKind::kSubstring, PatternKind::kSubsequence}) {
+    for (CellRestriction restriction :
+         {CellRestriction::kLeftMaxMatchedGo, CellRestriction::kLeftMaxDataGo,
+          CellRestriction::kAllMatchedGo}) {
+      CuboidSpec spec;
+      spec.seq.cluster_by = {{"session-id", "session-id"}};
+      spec.seq.sequence_by = "request-time";
+      spec.kind = kind;
+      spec.restriction = restriction;
+      spec.symbols = {"X", "Y"};
+      spec.dims = {PatternDim{"X", {"page", "page-category"}, {}, ""},
+                   PatternDim{"Y", {"page", "page-category"}, {}, ""}};
+      spec.placeholders = {"x1", "y1"};
+      spec.predicate = predicate;
+      specs.push_back(std::move(spec));
+    }
+  }
+
+  ShardedEngine one(data.table.get(), data.hierarchies.get(), ShardOpts(1));
+  std::vector<std::shared_ptr<const SCuboid>> want;
+  for (const CuboidSpec& spec : specs) {
+    auto r = one.Execute(spec, ExecStrategy::kCounterBased);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    want.push_back(*r);
+  }
+
+  EngineOptions opts = ShardOpts(2);
+  opts.shard_by = "session-id";
+  ShardedEngine two(data.table.get(), data.hierarchies.get(), opts);
+  std::vector<std::vector<std::shared_ptr<const SCuboid>>> got(2);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t q = 0; q < specs.size(); ++q) {
+        const size_t i = c == 0 ? q : specs.size() - 1 - q;
+        auto r = two.Execute(specs[i], ExecStrategy::kCounterBased);
+        got[c].push_back(r.ok() ? *r : nullptr);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(got[c].size(), specs.size());
+    for (size_t q = 0; q < specs.size(); ++q) {
+      const size_t i = c == 0 ? q : specs.size() - 1 - q;
+      ASSERT_NE(got[c][q], nullptr) << "client " << c << " spec " << i;
+      ExpectCuboidsIdentical(*want[i], *got[c][q],
+                             "spec " + std::to_string(i));
     }
   }
   EXPECT_GT(want.front()->num_cells(), 0u);
